@@ -44,7 +44,6 @@ _KEYS: dict[str, tuple[type, object]] = {
     "command": (str, None),
     "seed": (int, 0),
     "out": (str, "out"),
-    "threads": (int, 0),
     "experiment": (str, "ct"),
     "nx": (int, 250),
     "phantom_file": (str, ""),
@@ -290,7 +289,7 @@ def cmd_reconstruct(cfg: dict) -> int:
         inner_iters=cfg["inner_iters"], rho=cfg["rho"], alpha=cfg["alpha"],
         tau=cfg["tau"] if cfg["tau"] > 0 else None,
         precondition=cfg["precondition"],
-        sigma=cfg["sigma"] if cfg["sigma"] > 0 else None, seed=cfg["seed"])
+        sigma=cfg["sigma"] or None, seed=cfg["seed"])
     A = build_projector(ds.recon_projector)
     result = run_method(A, ds, cfg["method"], cfg["fidelity"], solver_cfg,
                         realization=cfg["realization"], mu=cfg["mu"],

@@ -16,7 +16,6 @@ from .grids import GridSpec, Image, RegionMask, Sinogram
 IMG_MAGIC = "TOMO-IMG"
 SIN_MAGIC = "TOMO-SIN"
 MSK_MAGIC = "TOMO-MSK"
-CSR_MAGIC = "TOMO-CSR"
 FORMAT_VERSION = "1"
 
 
@@ -138,42 +137,6 @@ def write_pgm(img: Image) -> tuple[bytes, str]:
     header = f"P5\n{img.grid.nx} {img.grid.ny}\n65535\n"
     sidecar = f"min={_fmt(lo)}\nmax={_fmt(hi)}\n"
     return header.encode("ascii") + pixels.tobytes(), sidecar
-
-
-def write_csr(matrix) -> bytes:
-    """Debugging dump of a CSR matrix (offsets/indices/weights)."""
-    m = matrix.tocsr()
-    header = f"{CSR_MAGIC} {FORMAT_VERSION} {m.shape[0]} {m.shape[1]} {m.nnz}\n"
-    return (header.encode("ascii")
-            + m.indptr.astype("<i8").tobytes()
-            + m.indices.astype("<i8").tobytes()
-            + m.data.astype("<f8").tobytes())
-
-
-def read_csr(data: bytes):
-    import scipy.sparse as sp
-
-    fields, payload = _split_header(data, CSR_MAGIC, 3)
-    try:
-        nrows, ncols, nnz = (int(t) for t in fields)
-    except ValueError as exc:
-        raise TomoFileError(f"bad CSR header fields {fields}") from exc
-    need = (nrows + 1) * 8 + nnz * 8 + nnz * 8
-    if len(payload) != need:
-        raise TomoFileError(
-            f"CSR: expected {need} payload bytes, got {len(payload)}")
-    indptr = np.frombuffer(payload[:(nrows + 1) * 8], dtype="<i8")
-    indices = np.frombuffer(payload[(nrows + 1) * 8:(nrows + 1 + nnz) * 8],
-                            dtype="<i8")
-    weights = np.frombuffer(payload[(nrows + 1 + nnz) * 8:], dtype="<f8")
-    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise TomoFileError("CSR offsets must be nondecreasing from 0 to nnz")
-    if nnz and (indices.min() < 0 or indices.max() >= ncols):
-        raise TomoFileError("CSR column index out of range")
-    if not np.all(np.isfinite(weights)):
-        raise TomoFileError("CSR: non-finite weights")
-    return sp.csr_matrix((weights.copy(), indices.copy(), indptr.copy()),
-                         shape=(nrows, ncols))
 
 
 def save_bytes(path: str | Path, data: bytes) -> None:

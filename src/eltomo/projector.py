@@ -11,11 +11,20 @@ The matrix is precomputed and stored in CSR form; the adjoint is the
 exact transpose. An optional detector point-spread function (gaussian,
 unit-sum, symmetric boundary) is applied on the sinogram side of both
 the forward and the adjoint map, so the operator pair stays adjoint.
+
+Projector calls use up to two threads: large operators split their rows
+into two blocks, and large streaming projections split their views. scipy's
+sparse products and numpy's large-array kernels release the interpreter
+lock, so the second thread runs on a second core. How the work is split
+depends only on the matrix, never on the thread count, so neither do
+the output bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,55 @@ import scipy.sparse as sp
 from scipy.ndimage import convolve1d
 
 from .grids import GridSpec, Image, Sinogram
+
+# Operators with at least this many stored entries split into two row
+# blocks. Below it the hand-off to the worker thread on every product
+# costs more than the second core saves: inside the solver a 0.57M-entry
+# operator ran 7% slower split and a 1.78M-entry one broke even.
+SPLIT_NNZ = 2_000_000
+
+# Streaming projection splits its views between the two threads when
+# views x pixels reaches this. The worker thread keeps its own allocator
+# arena, which raised peak memory by 3-6 MiB on the comparison sizes
+# (60 views of 128^2, 90 views of 200^2) for a saving of 20-170 ms; the
+# full-size data (90 views of 500^2) saves about 2 s.
+STREAM_SPLIT_PIXELS = 10_000_000
+
+# Two threads when the process may run on two or more cores, else one.
+THREADS = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+# The calling thread does one half of the work and this pool's single
+# worker the other. No thread starts before the first task. A forked
+# child inherits the pool but not its thread, so tasks submitted there
+# would never run; the child runs serially instead.
+_POOL = ThreadPoolExecutor(max_workers=1,
+                           thread_name_prefix="eltomo-projector")
+_POOL_PID = os.getpid()
+
+
+def _run_pair(first, second):
+    """Both results of two callables; with two threads the second runs
+    on the pool worker while the calling thread runs the first."""
+    if THREADS < 2 or os.getpid() != _POOL_PID:
+        return first(), second()
+    future = _POOL.submit(second)
+    try:
+        a = first()
+    finally:
+        b = future.result()
+    return a, b
+
+
+def _row_halves(m: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Two row blocks of about equal nnz sharing ``m``'s data and indices."""
+    r = int(np.searchsorted(m.indptr, m.nnz // 2))
+    k = int(m.indptr[r])
+    top = sp.csr_matrix((m.data[:k], m.indices[:k], m.indptr[:r + 1]),
+                        shape=(r, m.shape[1]))
+    bottom = sp.csr_matrix((m.data[k:], m.indices[k:], m.indptr[r:] - k),
+                           shape=(m.shape[0] - r, m.shape[1]))
+    return top, bottom
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,15 +264,24 @@ def _angle_entries(spec: ProjectorSpec, angle: float):
 
 
 class SparseOperator:
-    """Precomputed CSR projection matrix with optional detector PSF."""
+    """Precomputed CSR projection matrix with optional detector PSF.
+
+    A matrix with at least SPLIT_NNZ entries is applied as two row
+    blocks, one per thread. The forward product is bitwise equal to
+    ``matrix @ u``; the adjoint adds the two blocks' transposed products
+    in a fixed order, so it rounds differently from ``matrix.T @ y`` but
+    never depends on the thread count.
+    """
 
     def __init__(self, matrix: sp.csr_matrix, spec: ProjectorSpec):
         self.matrix = matrix
         self.spec = spec
         self.psf_kernel = (gaussian_kernel(spec.psf_fwhm_bins)
                            if spec.psf_fwhm_bins is not None else None)
-        # CSC view of the transpose: exact adjoint without copying data
-        self._adjoint = matrix.T
+        self.blocks = (_row_halves(matrix) if matrix.nnz >= SPLIT_NNZ
+                       else (matrix,))
+        # CSC views of the transposes: exact adjoint without copying data
+        self._adjoints = tuple(b.T for b in self.blocks)
 
     @property
     def nrows(self) -> int:
@@ -233,7 +300,12 @@ class SparseOperator:
         u = np.asarray(u, dtype=np.float64).ravel()
         if u.size != self.ncols:
             raise ValueError(f"expected {self.ncols} pixels, got {u.size}")
-        y = self.matrix @ u
+        if len(self.blocks) == 1:
+            y = self.matrix @ u
+        else:
+            top, bottom = self.blocks
+            y = np.concatenate(_run_pair(lambda: top @ u,
+                                         lambda: bottom @ u))
         return self._convolve(y) if self.psf_kernel is not None else y
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -242,7 +314,13 @@ class SparseOperator:
             raise ValueError(f"expected {self.nrows} rays, got {y.size}")
         if self.psf_kernel is not None:
             y = self._convolve(y)
-        return self._adjoint @ y
+        if len(self._adjoints) == 1:
+            return self._adjoints[0] @ y
+        top, bottom = self._adjoints
+        r = top.shape[1]
+        x, rest = _run_pair(lambda: top @ y[:r], lambda: bottom @ y[r:])
+        x += rest
+        return x
 
 
 def build_projector(spec: ProjectorSpec) -> SparseOperator:
@@ -261,16 +339,27 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
     """Forward projection without materializing the full matrix.
 
     Used for data generation on fine grids where the assembled matrix
-    would be needlessly large; one view is assembled at a time.
+    would be needlessly large; views are assembled one at a time. From
+    STREAM_SPLIT_PIXELS on, even views run on the calling thread and odd
+    views on the pool worker. Each view fills its own row, so the result
+    does not depend on the thread count.
     """
     if u.grid != spec.grid:
         raise ValueError("image grid does not match projector grid")
     flat = u.ravel()
     out = np.zeros((spec.n_angles, spec.nbins))
-    for ia, angle in enumerate(spec.angles):
-        bins, pixels, weights = _angle_entries(spec, angle)
-        out[ia] = np.bincount(bins, weights * flat[pixels],
-                              minlength=spec.nbins)
+
+    def views(first):
+        for ia in range(first, spec.n_angles, 2):
+            bins, pixels, weights = _angle_entries(spec, spec.angles[ia])
+            out[ia] = np.bincount(bins, weights * flat[pixels],
+                                  minlength=spec.nbins)
+
+    if spec.n_angles * spec.grid.npixels >= STREAM_SPLIT_PIXELS:
+        _run_pair(lambda: views(0), lambda: views(1))
+    else:
+        views(0)
+        views(1)
     if spec.psf_fwhm_bins is not None:
         out = convolve1d(out, gaussian_kernel(spec.psf_fwhm_bins),
                          axis=1, mode="reflect")

@@ -54,6 +54,10 @@ class SolverConfig:
             raise ValueError("alpha must be nonnegative")
         if self.tau is not None and not self.tau > 0:
             raise ValueError("tau must be positive")
+        # sigma^2 I + alpha R is singular at sigma = 0 for tv and el,
+        # whose R annihilates constants
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError("sigma must be positive (None estimates it)")
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,7 @@ def test_criterion_5_mlem_properties(rng):
             f"{conserve:.2e} (tol 1e-8), nonneg over 50 iters: {nonneg}")
 
 
+@pytest.mark.slow
 def test_criterion_6_ct_ordering(ct_protocol):
     per_seed = ct_protocol["per_seed"]
     ordered = 0
@@ -197,6 +198,7 @@ def test_criterion_6_ct_ordering(ct_protocol):
     _report("6 ct-ordering", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_et_region_ordering(et_protocol):
     reps = et_protocol["reports"]
     el_rep, tv_rep = reps["el"], reps["tv"]
@@ -210,6 +212,7 @@ def test_criterion_7_et_region_ordering(et_protocol):
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence_shape(ct_protocol):
     # full-length runs (early stop disabled) so the tail is observable
     best = ct_protocol["best"]

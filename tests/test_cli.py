@@ -145,6 +145,43 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_thread_count_leaves_output_bytes_alone(tmp_path, monkeypatch):
+    # provenance records the paths, so both runs write the same tree
+    import shutil
+
+    from eltomo import projector
+
+    # split products and streaming at toy size
+    monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
+    monkeypatch.setattr(projector, "STREAM_SPLIT_PIXELS", 1000)
+    trees = []
+    root = tmp_path / "run"
+    for threads in (1, 2):
+        monkeypatch.setattr(projector, "THREADS", threads)
+        if root.exists():
+            shutil.rmtree(root)
+        data = root / "data"
+        assert _run("simulate", "--experiment", "ct", "--fine-n", 64,
+                    "--recon-n", 32, "--n-angles", 30, "--seed", 9,
+                    "--out", data) == 0
+        assert _run("reconstruct", "--dataset", data, "--method", "el",
+                    "--fidelity", "ls", "--alpha", 1e-7,
+                    "--outer-iters", 5, "--out", root / "recon") == 0
+        trees.append(_tree_bytes(root))
+    assert trees[0] == trees[1]
+
+
+def test_sigma_zero_means_auto_and_negative_is_rejected(ct_dataset,
+                                                        tmp_path, capsys):
+    args = ("reconstruct", "--dataset", ct_dataset, "--method", "el",
+            "--alpha", 1e-7, "--outer-iters", 2, "--precondition", "true")
+    assert _run(*args, "--sigma", 0, "--out", tmp_path / "auto") == 0
+    capsys.readouterr()
+    assert _run(*args, "--sigma", -1, "--out", tmp_path / "neg") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_verify_passes_and_fault_injection_fails(capsys):
     assert _run("verify", "--trials", 20, "--n", 8) == 0
     out = capsys.readouterr().out

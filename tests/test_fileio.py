@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_array_equal
 
 from eltomo import GridSpec, Image, RegionMask, Sinogram
-from eltomo.fileio import (TomoFileError, read_csr, read_image, read_mask,
-                           read_sinogram, write_csr, write_image, write_mask,
-                           write_pgm, write_sinogram)
+from eltomo.fileio import (TomoFileError, read_image, read_mask,
+                           read_sinogram, write_image, write_mask, write_pgm,
+                           write_sinogram)
 
 
 def test_image_round_trip_bit_exact(rng):
@@ -82,15 +81,3 @@ def test_pgm_export_shape_and_scale(rng):
     assert "min=" in sidecar and "max=" in sidecar
     pixels = np.frombuffer(pgm[len(header):], dtype=">u2")
     assert pixels.min() == 0 and pixels.max() == 65535
-
-
-def test_csr_round_trip(rng):
-    m = sp.random(9, 14, density=0.3, random_state=2, format="csr")
-    again = read_csr(write_csr(m))
-    assert (abs(m - again)).nnz == 0
-
-
-def test_csr_truncated_rejected(rng):
-    m = sp.random(5, 5, density=0.5, random_state=0, format="csr")
-    with pytest.raises(TomoFileError):
-        read_csr(write_csr(m)[:-4])

@@ -1,8 +1,13 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eltomo import GridSpec, Image, Sinogram, uniform_angles
+from eltomo import GridSpec, Image, Sinogram, projector, uniform_angles
 from eltomo.projector import (ProjectorSpec, apply_psf, adjoint,
                               build_projector, default_detector, forward,
                               gaussian_kernel, project_streaming)
@@ -174,3 +179,120 @@ def test_angle_validation():
         ProjectorSpec(grid, np.array([-0.1]), 8, 0.2, "strip")
     with pytest.raises(ValueError):
         ProjectorSpec(grid, np.array([0.5, 0.2]), 8, 0.2, "strip")
+
+
+# --- two-thread split ---------------------------------------------------
+
+@pytest.fixture()
+def split_low(monkeypatch):
+    """Split every operator with at least 1000 entries and every streaming
+    projection of at least 1000 pixel views, on two threads."""
+    monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
+    monkeypatch.setattr(projector, "STREAM_SPLIT_PIXELS", 1000)
+    monkeypatch.setattr(projector, "THREADS", 2)
+
+
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+def test_split_apply_is_bitwise_whole_matrix(fwhm, split_low, rng):
+    spec = _spec(GridSpec(64, 64), 30, "linear", fwhm=fwhm)
+    A = build_projector(spec)
+    assert len(A.blocks) == 2
+    top, bottom = A.blocks
+    assert np.shares_memory(top.data, A.matrix.data)
+    assert np.shares_memory(bottom.indices, A.matrix.indices)
+    u = rng.random(A.ncols)
+    whole = A.matrix @ u
+    if fwhm is not None:
+        whole = A._convolve(whole)
+    assert A.apply(u).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+def test_split_adjoint_matches_transpose(fwhm, split_low, rng):
+    spec = _spec(GridSpec(64, 64), 30, "linear", fwhm=fwhm)
+    A = build_projector(spec)
+    y = rng.random(A.nrows)  # positive: no cancellation in the sums
+    rays = A._convolve(y) if fwhm is not None else y
+    assert_allclose(A.apply_adjoint(y), A.matrix.T @ rays, rtol=1e-13,
+                    atol=0)
+    u = rng.standard_normal(A.ncols)
+    v = rng.standard_normal(A.nrows)
+    au = A.apply(u)
+    lhs, rhs = float(au @ v), float(u @ A.apply_adjoint(v))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+def test_output_bytes_independent_of_thread_count(fwhm, split_low,
+                                                  monkeypatch, rng):
+    spec = _spec(GridSpec(64, 64), 30, "strip", fwhm=fwhm)
+    A = build_projector(spec)
+    u = rng.random(A.ncols)
+    y = rng.random(A.nrows)
+    img = Image(spec.grid, u)
+    outputs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(projector, "THREADS", threads)
+        outputs.append((A.apply(u).tobytes(), A.apply_adjoint(y).tobytes(),
+                        project_streaming(spec, img).values.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_below_floor_stays_on_the_calling_thread(monkeypatch):
+    def no_pair(first, second):
+        raise AssertionError("work handed to the pool below the floor")
+
+    monkeypatch.setattr(projector, "_run_pair", no_pair)
+    spec = _spec(GridSpec(64, 64), 30, "linear")
+    A = build_projector(spec)
+    assert A.matrix.nnz < projector.SPLIT_NNZ
+    assert len(A.blocks) == 1 and A.blocks[0] is A.matrix
+    u = np.ones(A.ncols)
+    A.apply_adjoint(A.apply(u))
+    assert 30 * spec.grid.npixels < projector.STREAM_SPLIT_PIXELS
+    project_streaming(spec, Image(spec.grid, u))
+
+
+def test_concurrent_callers_share_the_pool(split_low, rng):
+    # more calling threads than cores, all handing halves to one worker
+    A = build_projector(_spec(GridSpec(32, 32), 20, "linear"))
+    u = rng.random(A.ncols)
+    y = rng.random(A.nrows)
+    want = (A.apply(u).tobytes(), A.apply_adjoint(y).tobytes())
+    got = []
+
+    def call():
+        for _ in range(50):
+            got.append((A.apply(u).tobytes(), A.apply_adjoint(y).tobytes()))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 200 and all(g == want for g in got)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_serially(split_low, rng):
+    A = build_projector(_spec(GridSpec(32, 32), 20, "linear"))
+    u = rng.random(A.ncols)
+    want = A.apply(u)  # starts the pool worker, which a child lacks
+
+    def child():
+        os._exit(0 if A.apply(u).tobytes() == want.tobytes() else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=30)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child hung in a projector product")
+    assert proc.exitcode == 0

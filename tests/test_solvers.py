@@ -259,3 +259,10 @@ def test_non_finite_data_aborts():
     cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=0.0)
     with pytest.raises((NumericalError, ValueError)):
         fixed_point_reconstruct(A, b, None, cfg)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_config_rejects_nonpositive_sigma(sigma):
+    # sigma^2 I + alpha R is singular at sigma = 0 for tv and el
+    with pytest.raises(ValueError, match="sigma"):
+        SolverConfig(precondition=True, sigma=sigma)
