@@ -62,14 +62,10 @@ _KEYS: dict[str, tuple[type, object]] = {
     "alpha": (float, 0.0),
     "mu": (float, 0.0),
     "beta": (float, 0.03),
-    "eps_rel": (float, 1e-5),
-    "gamma_rel": (float, 1.0),
     "outer_iters": (int, 0),
     "inner_iters": (int, 5),
     "rho": (float, 1e-4),
-    "tau": (float, 0.0),
     "precondition": (bool, False),
-    "sigma": (float, 0.0),
     "realization": (int, 0),
     "param": (str, "alpha"),
     "values": (str, ""),
@@ -119,8 +115,15 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ConfigError instead of printing usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eltomo",
         description="Tomographic reconstruction with edge-preserving "
                     "Laplacian, TV and TV-l2 penalties")
@@ -287,9 +290,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     solver_cfg = SolverConfig(
         outer_iters=_default_outer(cfg, ds.kind),
         inner_iters=cfg["inner_iters"], rho=cfg["rho"], alpha=cfg["alpha"],
-        tau=cfg["tau"] if cfg["tau"] > 0 else None,
-        precondition=cfg["precondition"],
-        sigma=cfg["sigma"] or None, seed=cfg["seed"])
+        precondition=cfg["precondition"])
     A = build_projector(ds.recon_projector)
     result = run_method(A, ds, cfg["method"], cfg["fidelity"], solver_cfg,
                         realization=cfg["realization"], mu=cfg["mu"],
@@ -331,7 +332,8 @@ def cmd_sweep(cfg: dict) -> int:
         fidelity=cfg["fidelity"], alpha=cfg["alpha"], mu=cfg["mu"],
         beta=cfg["beta"], realizations=realos,
         outer_iters=_default_outer(cfg, ds.kind),
-        inner_iters=cfg["inner_iters"], rho=cfg["rho"], seed=cfg["seed"])
+        inner_iters=cfg["inner_iters"], rho=cfg["rho"],
+        precondition=cfg["precondition"])
     result = run_sweep(spec, ds, A=A)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -367,7 +369,7 @@ def cmd_report(cfg: dict) -> int:
         ds, outer_iters=outer, inner_iters=cfg["inner_iters"],
         realizations=realos, beta=cfg["beta"],
         sweep_points=cfg["sweep_points"], sweep_decades=cfg["sweep_decades"],
-        seed=cfg["seed"], rho=cfg["rho"], precondition=cfg["precondition"])
+        rho=cfg["rho"], precondition=cfg["precondition"])
     out = Path(cfg["out"])
     emit_report(reports, out)
     _write_provenance(cfg, out)

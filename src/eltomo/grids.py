@@ -17,6 +17,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def frozen_angles(angles) -> np.ndarray:
+    """Read-only float64 copy of view angles, which must be non-empty,
+    within [0, pi) and strictly increasing."""
+    a = np.array(angles, dtype=np.float64).ravel()
+    if a.size == 0:
+        raise ValueError("need at least one view angle")
+    if np.any(a < 0.0) or np.any(a >= np.pi):
+        raise ValueError("angles must lie in [0, pi)")
+    if a.size > 1 and np.any(np.diff(a) <= 0):
+        raise ValueError("angles must be strictly increasing")
+    return _frozen(a)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Pixel grid covering the rectangle [0, dx] x [0, dy].
@@ -90,13 +103,7 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=np.float64).ravel()
-        if a.size == 0:
-            raise ValueError("need at least one view angle")
-        if np.any(a < 0.0) or np.any(a >= np.pi):
-            raise ValueError("angles must lie in [0, pi)")
-        if a.size > 1 and np.any(np.diff(a) <= 0):
-            raise ValueError("angles must be strictly increasing")
+        a = frozen_angles(self.angles)
         if self.nbins < 1:
             raise ValueError("nbins must be >= 1")
         v = np.asarray(self.values, dtype=np.float64)
@@ -106,7 +113,7 @@ class Sinogram:
         v = v.reshape(a.size, self.nbins)
         if not np.all(np.isfinite(v)):
             raise ValueError("sinogram values must be finite")
-        object.__setattr__(self, "angles", _frozen(a))
+        object.__setattr__(self, "angles", a)
         object.__setattr__(self, "values", _frozen(v))
 
     @property

@@ -17,8 +17,8 @@ import numpy as np
 from . import fileio
 from .grids import Image, RegionMask
 from .projector import SparseOperator, build_projector
-from .regularizers import (Penalty, build_gradient_matrix,
-                           curvature_part_matrix, el, tikhonov, tv, tv_l2)
+from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov, tv,
+                           tv_l2)
 from .simulate import Dataset
 from .solvers import (NumericalError, ReconResult, SolverConfig, cgls,
                       fixed_point_reconstruct, history_csv,
@@ -41,16 +41,16 @@ def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
     return float(np.linalg.norm(r - t) / denom)
 
 
-def make_penalty(method: str, mu: float = 0.0, beta: float = 0.03,
-                 eps_rel: float = 1e-5) -> Penalty | None:
+def make_penalty(method: str, mu: float = 0.0,
+                 beta: float = 0.03) -> Penalty | None:
     if method == "cgls" or method == "mlem":
         return None
     if method == "tikhonov":
         return tikhonov()
     if method == "tv":
-        return tv(eps_rel=eps_rel)
+        return tv()
     if method == "tvl2":
-        return tv_l2(mu, eps_rel=eps_rel)
+        return tv_l2(mu)
     if method == "el":
         return el(beta=beta)
     raise ValueError(f"unknown method {method!r}")
@@ -95,11 +95,12 @@ def alpha_scale_heuristic(A: SparseOperator, dataset: Dataset,
 
 def mu_scale_heuristic(A: SparseOperator, dataset: Dataset) -> float:
     """Scale of the second combined-penalty constant, probed the same
-    way as alpha but against the curvature part of the matrix."""
+    way as alpha but against the curvature part of the matrix: the
+    combined penalty's matrix with alpha = 0 and mu = 1."""
     b = dataset.noisy[0].ravel()
     atb = A.apply_adjoint(b)
     probe = Image(dataset.ground_truth.grid, atb)
-    part = curvature_part_matrix(probe)
+    part = build_gradient_matrix(tv_l2(mu=1.0), probe, alpha=0.0).matrix
     denom = float(np.max(np.abs(part @ atb)))
     if denom == 0.0:
         raise NumericalError("curvature gradient vanished at the probe image")
@@ -127,7 +128,6 @@ class SweepSpec:
     inner_iters: int = 5
     rho: float = 1e-4
     precondition: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.values) < 2:
@@ -178,8 +178,7 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
             beta = value
         cfg = SolverConfig(outer_iters=spec.outer_iters,
                            inner_iters=spec.inner_iters, rho=spec.rho,
-                           alpha=alpha, precondition=spec.precondition,
-                           seed=spec.seed)
+                           alpha=alpha, precondition=spec.precondition)
         errs, gr_errs, br_errs = [], [], []
         for r in spec.realizations:
             try:
@@ -232,7 +231,7 @@ class MethodReport:
 def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
                    realizations: tuple[int, ...] = (0,), beta: float = 0.03,
                    sweep_points: int = 9, sweep_decades: float = 4.0,
-                   seed: int = 0, rho: float = 1e-4,
+                   rho: float = 1e-4,
                    precondition: bool = False,
                    A: SparseOperator | None = None) -> list[MethodReport]:
     """Sweep-then-evaluate comparison of the four methods on a dataset.
@@ -253,13 +252,12 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
                          fidelity=fidelity, alpha=alpha, mu=mu, beta=beta,
                          realizations=realizations, outer_iters=outer_iters,
                          inner_iters=inner_iters, rho=rho,
-                         precondition=precondition, seed=seed)
+                         precondition=precondition)
         return run_sweep(spec, dataset, A=A)
 
     def finalize(method, best_param, sweep_result, alpha, mu):
         cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
-                           rho=rho, alpha=alpha, precondition=precondition,
-                           seed=seed)
+                           rho=rho, alpha=alpha, precondition=precondition)
         results = [run_method(A, dataset, method, fidelity, cfg,
                               realization=r, mu=mu, beta=beta)
                    for r in realizations]

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import convolve1d
 
-from .grids import GridSpec, Image, Sinogram
+from .grids import GridSpec, Image, Sinogram, frozen_angles
 
 # Operators with at least this many stored entries split into two row
 # blocks. Below it the hand-off to the worker thread on every product
@@ -103,15 +103,7 @@ class ProjectorSpec:
                 and self.psf_fwhm_bins == other.psf_fwhm_bins)
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=np.float64).ravel()
-        if a.size == 0:
-            raise ValueError("need at least one angle")
-        if np.any(a < 0.0) or np.any(a >= np.pi):
-            raise ValueError("angles must lie in [0, pi)")
-        if a.size > 1 and np.any(np.diff(a) <= 0):
-            raise ValueError("angles must be strictly increasing")
-        object.__setattr__(self, "angles", a.copy())
-        self.angles.flags.writeable = False
+        object.__setattr__(self, "angles", frozen_angles(self.angles))
         if self.nbins < 1:
             raise ValueError("nbins must be >= 1")
         if not self.bin_pitch > 0:

@@ -244,18 +244,6 @@ def build_gradient_matrix(kind: Penalty, u: Image,
     return RegularizerMatrix(m.tocsr(), kind)
 
 
-def curvature_part_matrix(u: Image, gamma_rel: float = 1.0) -> sp.csr_matrix:
-    """Second-order part of the combined penalty's gradient matrix with
-    a unit weight (Lx' Ups Lx + Ly' Ups Ly, Ups = 2 / |grad u|_gamma^3).
-    Used to pick the scale of the second regularization constant."""
-    g = u.grid
-    ops = _stencils(g)
-    gamma = gamma_rel * _amplitude(u.values) ** 2
-    ups = sp.diags(2.0 / (_grad_mag2(u) + gamma).ravel() ** 1.5)
-    return (ops["lxT"] @ (ups @ ops["lx"])
-            + ops["lyT"] @ (ups @ ops["ly"])).tocsr()
-
-
 def penalty_value(kind: Penalty, u: Image,
                   alpha: float | None = None) -> float:
     """Penalty functional value; used for reporting and gradient checks

@@ -10,9 +10,10 @@
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
-All solvers are deterministic given their inputs and the configured
-seed; internal power iterations draw their probe vectors from a seeded
-generator.
+Every solver is a deterministic function of its inputs. Both power
+iterations start at the all-ones vector: the one for the ML-EM
+denoising step size runs on |R|, the one for the preconditioner's sigma
+on A'A. Only verify_error_bound draws random numbers, from its own seed.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ class SolverConfig:
     inner_iters: int = 5
     rho: float = 1e-4
     alpha: float = 0.0
-    tau: float | None = None
     precondition: bool = False
-    sigma: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.outer_iters < 1 or self.inner_iters < 1:
@@ -52,12 +50,6 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError("tau must be positive")
-        # sigma^2 I + alpha R is singular at sigma = 0 for tv and el,
-        # whose R annihilates constants
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive (None estimates it)")
 
 
 @dataclass(frozen=True)
@@ -99,11 +91,16 @@ def _check_finite(u: np.ndarray, where: str) -> None:
         raise NumericalError(f"non-finite iterate in {where}")
 
 
-def power_iteration(apply_op, n: int, iters: int, seed: int) -> float:
-    """Largest eigenvalue of a symmetric PSD operator."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+def power_iteration(apply_op, n: int, iters: int) -> float:
+    """Largest eigenvalue of a symmetric PSD operator, started at the
+    all-ones vector.
+
+    The operator must be entrywise nonnegative (such as A'A for a
+    nonnegative A, or |R| for a penalty matrix R): its top eigenvector
+    is then nonnegative and cannot be orthogonal to the start. R itself
+    does not qualify: it annihilates the ones vector.
+    """
+    v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     for _ in range(iters):
         w = apply_op(v)
@@ -115,11 +112,21 @@ def power_iteration(apply_op, n: int, iters: int, seed: int) -> float:
     return lam
 
 
-def estimate_sigma(A: SparseOperator, seed: int, iters: int = 50) -> float:
-    """Largest singular value of A via power iteration on A'A."""
+def estimate_sigma(A: SparseOperator, iters: int = 50) -> float:
+    """Largest singular value of A via power iteration on A'A (A is
+    entrywise nonnegative, PSF included)."""
     lam = power_iteration(lambda v: A.apply_adjoint(A.apply(v)),
-                          A.ncols, iters, seed)
+                          A.ncols, iters)
     return float(np.sqrt(max(lam, 0.0)))
+
+
+def penalty_eigenvalue(m: sp.csr_matrix) -> float:
+    """Largest eigenvalue of a penalty matrix m, by power iteration on
+    |m|. For the tv, tvl2 and el stencils |m| is m with the sign of
+    every other pixel flipped in a checkerboard (D m D, D = diag(+-1)),
+    so the two share their spectrum."""
+    absm = abs(m)
+    return power_iteration(lambda v: absm @ v, m.shape[0], 30)
 
 
 # --- CGLS ----------------------------------------------------------------
@@ -226,9 +233,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
 
     u = np.zeros(A.ncols)
     au = np.zeros(A.nrows)
-    sigma = cfg.sigma
-    if cfg.precondition and regularized and sigma is None:
-        sigma = estimate_sigma(A, cfg.seed)
+    sigma = estimate_sigma(A) if cfg.precondition and regularized else None
 
     history: list[HistoryRecord] = []
     terminated = False
@@ -313,12 +318,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         if regularized:
             R = build_gradient_matrix(kind, Image(A.spec.grid, u_half), alpha)
             a_eff = _effective_alpha(kind, alpha)
-            if cfg.tau is not None:
-                tau = cfg.tau
-            else:
-                lam = power_iteration(lambda v: R.matrix @ v, u_half.size,
-                                      30, cfg.seed)
-                tau = 1.0 / (1.0 + a_eff * lam)
+            tau = 1.0 / (1.0 + a_eff * penalty_eigenvalue(R.matrix))
             f = u_half.copy()
             for _ in range(cfg.inner_iters):
                 f = f - tau * ((f - u_half) + a_eff * (R.matrix @ f))

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from eltomo.cli import resolve_config, run
+from eltomo.fileio import load_image
+from eltomo.metrics import rmse
 
 
 def _run(*args):
@@ -94,6 +96,22 @@ def test_sweep_command(ct_dataset, tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_honours_precondition(ct_dataset, tmp_path):
+    common = ("--dataset", ct_dataset, "--method", "el", "--outer-iters", 3,
+              "--precondition", "true")
+    assert _run("sweep", *common, "--values", "1e-7,1e-6",
+                "--out", tmp_path / "sw") == 0
+    rows = (tmp_path / "sw" / "sweep_el.csv").read_text().splitlines()[1:]
+    truth = load_image(ct_dataset / "ground_truth")
+    for row in rows:
+        alpha, mean_rmse = row.split(",")
+        out = tmp_path / f"r{alpha}"
+        assert _run("reconstruct", *common, "--alpha", alpha,
+                    "--out", out) == 0
+        image = load_image(out / "recon_el")
+        assert float(mean_rmse) == rmse(image, truth)
+
+
 def test_full_ct_pipeline_table_has_four_methods(tmp_path):
     data = tmp_path / "data"
     assert _run("simulate", "--experiment", "ct", "--fine-n", 64,
@@ -171,15 +189,30 @@ def test_thread_count_leaves_output_bytes_alone(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
-def test_sigma_zero_means_auto_and_negative_is_rejected(ct_dataset,
-                                                        tmp_path, capsys):
-    args = ("reconstruct", "--dataset", ct_dataset, "--method", "el",
-            "--alpha", 1e-7, "--outer-iters", 2, "--precondition", "true")
-    assert _run(*args, "--sigma", 0, "--out", tmp_path / "auto") == 0
-    capsys.readouterr()
-    assert _run(*args, "--sigma", -1, "--out", tmp_path / "neg") == 2
-    err = capsys.readouterr().err.splitlines()
+@pytest.mark.parametrize("flag", ["--tau", "--sigma", "--eps-rel",
+                                  "--gamma-rel", "--bogus"])
+def test_removed_or_unknown_flag_is_one_error_line(flag, ct_dataset,
+                                                   tmp_path, capsys):
+    assert _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
+                "--alpha", 1e-7, flag, 1, "--out", tmp_path / "r") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert flag in err[0] and captured.out == ""
+
+
+def test_preconditioned_reconstruct_does_not_depend_on_seed(ct_dataset,
+                                                            tmp_path):
+    trees = []
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}"
+        assert _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
+                    "--alpha", 1e-7, "--outer-iters", 3, "--precondition",
+                    "true", "--seed", seed, "--out", out) == 0
+        tree = _tree_bytes(out)
+        del tree["provenance.txt"]  # records the seed itself
+        trees.append(tree)
+    assert len(trees[0]) == 4 and trees[0] == trees[1]
 
 
 def test_verify_passes_and_fault_injection_fails(capsys):
@@ -193,5 +226,6 @@ def test_verify_passes_and_fault_injection_fails(capsys):
 
 
 def test_no_command_is_config_error(capsys):
-    with pytest.raises(SystemExit):
-        run(["--bogus"])
+    assert run(["--bogus"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
