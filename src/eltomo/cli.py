@@ -22,7 +22,8 @@ import numpy as np
 from . import fileio
 from .grids import GridSpec, Image, uniform_angles
 from .metrics import (SweepSpec, alpha_scale_heuristic, emit_report,
-                      log_grid, run_comparison, run_method, run_sweep)
+                      log_grid, run_comparison, run_method, run_sweep,
+                      sweep_csv)
 from .phantoms import (default_ct_descriptor, generate_ct_phantom,
                        generate_et_phantom, load_descriptor, save_descriptor)
 from .projector import (ProjectorSpec, build_projector, default_detector,
@@ -337,10 +338,7 @@ def cmd_sweep(cfg: dict) -> int:
     result = run_sweep(spec, ds, A=A)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"{spec.param},mean_rmse"]
-    for v, m in zip(result.spec.values, result.mean_rmse):
-        lines.append(f"{v:.17g},{m:.17g}")
-    (out / f"sweep_{cfg['method']}.csv").write_text("\n".join(lines) + "\n",
+    (out / f"sweep_{cfg['method']}.csv").write_text(sweep_csv(result),
                                                     encoding="utf-8")
     _write_provenance(cfg, out)
     print(f"best {spec.param}={result.best_value:.17g} "

@@ -300,6 +300,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def sweep_csv(result: SweepResult) -> str:
+    """One row per grid value: mean RMSE over the realizations and, for
+    datasets with region masks, the GR and BR means (empty otherwise)."""
+    lines = [f"{result.spec.param},mean_rmse,gr_mean,br_mean"]
+    for i, v in enumerate(result.spec.values):
+        gr = "" if result.gr_mean is None else _fmt(result.gr_mean[i])
+        br = "" if result.br_mean is None else _fmt(result.br_mean[i])
+        lines.append(f"{_fmt(v)},{_fmt(result.mean_rmse[i])},{gr},{br}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(reports: list[MethodReport], out_dir: str | Path) -> list[Path]:
     """Write table.csv, per-method convergence and sweep CSVs, region
     RMSE table and PGM previews of the final images."""
@@ -322,15 +333,8 @@ def emit_report(reports: list[MethodReport], out_dir: str | Path) -> list[Path]:
         path.write_text(history_csv(rep.history_result), encoding="utf-8")
         written.append(path)
         if rep.sweep is not None:
-            lines = [f"{rep.sweep.spec.param},mean_rmse,gr_mean,br_mean"]
-            for i, v in enumerate(rep.sweep.spec.values):
-                gr = ("" if rep.sweep.gr_mean is None
-                      else _fmt(rep.sweep.gr_mean[i]))
-                br = ("" if rep.sweep.br_mean is None
-                      else _fmt(rep.sweep.br_mean[i]))
-                lines.append(f"{_fmt(v)},{_fmt(rep.sweep.mean_rmse[i])},{gr},{br}")
             path = out / f"sweep_{rep.method}.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            path.write_text(sweep_csv(rep.sweep), encoding="utf-8")
             written.append(path)
 
         pgm, sidecar = fileio.write_pgm(rep.image)

@@ -56,10 +56,10 @@ class Penalty:
             raise ValueError("eps_rel must be positive")
         if not self.gamma_rel > 0:
             raise ValueError("gamma_rel must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and nonnegative")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
 
 
 def tikhonov() -> Penalty:

@@ -10,6 +10,14 @@
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
+The optional preconditioner of the fixed-point solver is an exact
+sparse factorization of sigma^2 I + a R, redone at every outer
+iteration. The matrix is SPD, so SuperLU runs in symmetric mode: no
+pivoting, on a minimum-degree ordering of A' + A (Liu, ACM TOMS 11(2),
+1985), which fills in less than a column ordering with partial pivoting.
+sigma, the largest singular value of the projector, is computed once
+per operator.
+
 Every solver is a deterministic function of its inputs. Both power
 iterations start at the all-ones vector: the one for the ML-EM
 denoising step size runs on |R|, the one for the preconditioner's sigma
@@ -18,6 +26,8 @@ on A'A. Only verify_error_bound draws random numbers, from its own seed.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +58,8 @@ class SolverConfig:
             raise ValueError("iteration counts must be >= 1")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,19 @@ def estimate_sigma(A: SparseOperator, iters: int = 50) -> float:
     lam = power_iteration(lambda v: A.apply_adjoint(A.apply(v)),
                           A.ncols, iters)
     return float(np.sqrt(max(lam, 0.0)))
+
+
+# sigma depends only on the operator, which is not modified after
+# construction; weak keys let each operator be freed as usual
+_SIGMAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _operator_sigma(A: SparseOperator) -> float:
+    """estimate_sigma(A), computed once per operator."""
+    sigma = _SIGMAS.get(A)
+    if sigma is None:
+        sigma = _SIGMAS[A] = estimate_sigma(A)
+    return sigma
 
 
 def penalty_eigenvalue(m: sp.csr_matrix) -> float:
@@ -210,10 +233,13 @@ def _effective_alpha(kind: Penalty | None, alpha: float) -> float:
 
 def _factorized_preconditioner(R: RegularizerMatrix, alpha_eff: float,
                                sigma: float):
+    """Exact solve with sigma^2 I + alpha_eff R, which is SPD (sigma > 0,
+    R PSD), so SuperLU needs no pivoting."""
     n = R.matrix.shape[0]
     h = (sigma ** 2) * sp.identity(n, format="csc") + alpha_eff * R.matrix
-    lu = spla.splu(h.tocsc())
-    return lambda v: lu.solve(v)
+    lu = spla.splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return lu.solve
 
 
 # --- fixed-point solver (least-squares fidelity) --------------------------
@@ -233,7 +259,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
 
     u = np.zeros(A.ncols)
     au = np.zeros(A.nrows)
-    sigma = estimate_sigma(A) if cfg.precondition and regularized else None
+    sigma = _operator_sigma(A) if cfg.precondition and regularized else None
 
     history: list[HistoryRecord] = []
     terminated = False

@@ -92,8 +92,9 @@ def test_sweep_command(ct_dataset, tmp_path):
                 "--outer-iters", 4, "--out", out)
     assert code == 0
     lines = (out / "sweep_tv.csv").read_text().splitlines()
-    assert lines[0] == "alpha,mean_rmse"
+    assert lines[0] == "alpha,mean_rmse,gr_mean,br_mean"
     assert len(lines) == 4
+    assert all(row.endswith(",,") for row in lines[1:])  # no region masks
 
 
 def test_sweep_honours_precondition(ct_dataset, tmp_path):
@@ -104,7 +105,7 @@ def test_sweep_honours_precondition(ct_dataset, tmp_path):
     rows = (tmp_path / "sw" / "sweep_el.csv").read_text().splitlines()[1:]
     truth = load_image(ct_dataset / "ground_truth")
     for row in rows:
-        alpha, mean_rmse = row.split(",")
+        alpha, mean_rmse, _, _ = row.split(",")
         out = tmp_path / f"r{alpha}"
         assert _run("reconstruct", *common, "--alpha", alpha,
                     "--out", out) == 0
@@ -199,6 +200,24 @@ def test_removed_or_unknown_flag_is_one_error_line(flag, ct_dataset,
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert flag in err[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ("--method", "el", "--alpha", "nan"),
+    ("--method", "el", "--alpha", "inf"),
+    ("--method", "tvl2", "--alpha", 1e-7, "--mu", "nan"),
+    ("--method", "tvl2", "--alpha", 1e-7, "--mu", "inf"),
+    ("--method", "el", "--alpha", 1e-7, "--beta", "inf"),
+    ("--method", "el", "--alpha", 1e-7, "--rho", "nan"),
+], ids=["alpha-nan", "alpha-inf", "mu-nan", "mu-inf", "beta-inf", "rho-nan"])
+def test_non_finite_parameter_is_one_error_line(flags, ct_dataset, tmp_path,
+                                                capsys):
+    assert _run("reconstruct", "--dataset", ct_dataset, *flags,
+                "--outer-iters", 3, "--out", tmp_path / "r") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
 
 
 def test_preconditioned_reconstruct_does_not_depend_on_seed(ct_dataset,

@@ -155,7 +155,9 @@ def test_penalty_validation():
         Penalty("unknown")
     with pytest.raises(ValueError):
         Penalty("tv", eps_rel=0.0)
-    with pytest.raises(ValueError):
-        Penalty("el", beta=-1.0)
-    with pytest.raises(ValueError):
-        Penalty("tvl2", mu=-0.5)
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta"):
+            Penalty("el", beta=beta)
+    for mu in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu"):
+            Penalty("tvl2", mu=mu)

@@ -11,8 +11,12 @@ from eltomo import (GridSpec, Image, Sinogram, SolverConfig, cgls, el,
                     verify_error_bound)
 from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
+from eltomo import solvers
+from eltomo.metrics import SweepSpec, run_sweep
 from eltomo.regularizers import build_gradient_matrix
-from eltomo.solvers import NumericalError, estimate_sigma, penalty_eigenvalue
+from eltomo.solvers import (NumericalError, _effective_alpha,
+                            _factorized_preconditioner, estimate_sigma,
+                            penalty_eigenvalue)
 
 
 def _operator(n=16, n_angles=20, kernel="linear", fwhm=None):
@@ -287,3 +291,43 @@ def test_estimate_sigma_matches_largest_singular_value(fwhm):
     dense = np.column_stack([A.apply(e) for e in np.eye(A.ncols)])
     top = np.linalg.svd(dense, compute_uv=False)[0]
     assert_allclose(estimate_sigma(A), top, rtol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+def test_config_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        SolverConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
+                         ids=lambda k: k.kind)
+def test_factorized_preconditioner_is_exact(kind, rng):
+    img = Image(GridSpec(32, 32), rng.random((32, 32)))
+    alpha = 1e-3
+    R = build_gradient_matrix(kind, img, alpha=alpha)
+    a_eff = _effective_alpha(kind, alpha)
+    # the penalty term 1e3 times stiffer than the identity part, as in
+    # the solves the preconditioner is there for
+    sigma = np.sqrt(a_eff * penalty_eigenvalue(R.matrix) / 1e3)
+    h = sigma ** 2 * sp.identity(R.matrix.shape[0]) + a_eff * R.matrix
+    v = rng.standard_normal(R.matrix.shape[0])
+    got = _factorized_preconditioner(R, a_eff, sigma)(h @ v)
+    assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch):
+    ds, _ = small_ct
+    A = build_projector(ds.recon_projector)  # an operator not seen before
+    calls = []
+    original = solvers.power_iteration
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "power_iteration", counted)
+    spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
+                     outer_iters=3, inner_iters=3, precondition=True)
+    run_sweep(spec, ds, A=A)
+    assert calls == [A.ncols]
+    assert solvers._operator_sigma(A) == estimate_sigma(A)
