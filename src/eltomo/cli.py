@@ -341,6 +341,10 @@ def cmd_sweep(cfg: dict) -> int:
     (out / f"sweep_{cfg['method']}.csv").write_text(sweep_csv(result),
                                                     encoding="utf-8")
     _write_provenance(cfg, out)
+    for run in result.runs:
+        if run.error is not None:
+            print(f"failed {spec.param}={run.value:.17g} "
+                  f"realization {run.realization}: {run.error}")
     print(f"best {spec.param}={result.best_value:.17g} "
           f"(mean rmse {result.mean_rmse[result.best_index]:.6g})")
     return 0

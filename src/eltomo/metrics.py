@@ -145,6 +145,7 @@ class SweepRun:
     rmse: float | None
     gr_rmse: float | None = None
     br_rmse: float | None = None
+    error: str | None = None  # why the run failed (rmse is None)
 
 
 @dataclass
@@ -184,8 +185,8 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
             try:
                 res = run_method(A, dataset, spec.method, spec.fidelity,
                                  cfg, realization=r, mu=mu, beta=beta)
-            except NumericalError:
-                runs.append(SweepRun(value, r, None))
+            except NumericalError as exc:
+                runs.append(SweepRun(value, r, None, error=str(exc)))
                 continue
             e = rmse(res.image, dataset.ground_truth)
             run = SweepRun(value, r, e)

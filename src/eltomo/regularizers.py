@@ -17,6 +17,12 @@ identity). The diagonals are evaluated from the iterate supplied at
 build time and then frozen, which is what makes the inner problems of
 the fixed-point solver linear.
 
+Every matrix but the identity has the form sum_t D_t' diag(w_t) D_t, so
+its entries are linear in the stacked diagonals. The sorted CSR pattern
+and the sparse map from the diagonals to the pattern's values are built
+once per grid and stencil set; each matrix is then filled by one sparse
+matrix-vector product.
+
 The edge weights wx, wy lie in (0, 1]: they equal 1 where the image is
 flat and drop toward 0 where the first derivative is large relative to
 its scale-invariant average 2*umax/d, so second-order smoothing is
@@ -140,25 +146,83 @@ def _d2(n: int, h: float) -> sp.csr_matrix:
     return (m / h ** 2).tocsr()
 
 
-_STENCIL_CACHE: dict[GridSpec, dict[str, sp.csr_matrix]] = {}
+def _stencil(grid: GridSpec, name: str) -> sp.csr_matrix:
+    """One of the difference stencils dx, dy, lx, ly on flattened images."""
+    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
+    if name == "dx":
+        return sp.kron(iy, _d1(grid.nx, grid.hx), format="csr")
+    if name == "dy":
+        return sp.kron(_d1(grid.ny, grid.hy), ix, format="csr")
+    if name == "lx":
+        return sp.kron(iy, _d2(grid.nx, grid.hx), format="csr")
+    return sp.kron(_d2(grid.ny, grid.hy), ix, format="csr")
 
 
-def _stencils(grid: GridSpec) -> dict[str, sp.csr_matrix]:
-    ops = _STENCIL_CACHE.get(grid)
-    if ops is None:
-        ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
-        ops = {
-            "dx": sp.kron(iy, _d1(grid.nx, grid.hx), format="csr"),
-            "dy": sp.kron(_d1(grid.ny, grid.hy), ix, format="csr"),
-            "lx": sp.kron(iy, _d2(grid.nx, grid.hx), format="csr"),
-            "ly": sp.kron(_d2(grid.ny, grid.hy), ix, format="csr"),
-        }
-        ops["dxT"] = ops["dx"].T.tocsr()
-        ops["dyT"] = ops["dy"].T.tocsr()
-        ops["lxT"] = ops["lx"].T.tocsr()
-        ops["lyT"] = ops["ly"].T.tocsr()
-        _STENCIL_CACHE[grid] = ops
-    return ops
+@dataclass(frozen=True)
+class _Fill:
+    """Fixed CSR pattern of sum_t D_t' diag(w_t) D_t and the sparse map
+    from the stacked weights concat(w_t) to its data:
+    fill[(i, j), t*n + k] = D_t[k, i] * D_t[k, j]."""
+
+    fill: sp.csc_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+_FILL_CACHE: dict[tuple[GridSpec, tuple[str, ...]], _Fill] = {}
+
+
+def _row_pairs(d: sp.csr_matrix):
+    """Every ordered pair of entries sharing a row of d, as (column of
+    the first, column of the second, row, product of the two values)."""
+    lens = np.diff(d.indptr)
+    row = np.repeat(np.arange(d.shape[0]), lens)
+    reps = lens[row]
+    first = np.repeat(np.arange(d.nnz), reps)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    second = d.indptr[row[first]] + offset
+    return (d.indices[first], d.indices[second], row[first],
+            d.data[first] * d.data[second])
+
+
+def _fill_map(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
+    """The _Fill of the stencils `names`, built once per grid. The
+    stencils themselves are dropped once the map is built."""
+    key = (grid, names)
+    cached = _FILL_CACHE.get(key)
+    if cached is not None:
+        return cached
+    n = grid.npixels
+    ii, jj, cols, coefs = [], [], [], []
+    for t, name in enumerate(names):
+        i, j, k, c = _row_pairs(_stencil(grid, name))
+        ii.append(i)
+        jj.append(j)
+        cols.append(k + t * n)
+        coefs.append(c)
+    flat = np.concatenate(ii).astype(np.int64) * n + np.concatenate(jj)
+    pattern, position = np.unique(flat, return_inverse=True)
+    fill = sp.csc_matrix((np.concatenate(coefs),
+                          (position, np.concatenate(cols))),
+                         shape=(pattern.size, len(names) * n))
+    indices = (pattern % n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    # every matrix filled on this pattern shares these two arrays
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    cached = _FILL_CACHE[key] = _Fill(fill, indices, indptr)
+    return cached
+
+
+def _assemble(grid: GridSpec, names: tuple[str, ...],
+              weights: tuple[np.ndarray, ...]) -> sp.csr_matrix:
+    """sum_t D_t' diag(weights[t]) D_t over the stencils `names`, filled
+    on the cached pattern by one sparse matvec."""
+    f = _fill_map(grid, names)
+    data = f.fill @ np.concatenate([w.ravel() for w in weights])
+    return sp.csr_matrix((data, f.indices, f.indptr),
+                         shape=(grid.npixels, grid.npixels))
 
 
 # --- penalty machinery --------------------------------------------------
@@ -216,12 +280,10 @@ def build_gradient_matrix(kind: Penalty, u: Image,
     if kind.kind == "tikhonov":
         return RegularizerMatrix(sp.identity(n, format="csr"), kind)
 
-    ops = _stencils(g)
     if kind.kind == "tv":
         eps = kind.eps_rel * _amplitude(u.values)
-        phi = sp.diags(1.0 / np.sqrt(_grad_mag2(u) + eps ** 2).ravel())
-        m = (ops["dxT"] @ (phi @ ops["dx"])
-             + ops["dyT"] @ (phi @ ops["dy"]))
+        phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
+        m = _assemble(g, ("dx", "dy"), (phi, phi))
     elif kind.kind == "tvl2":
         if alpha is None:
             raise ValueError("tvl2 gradient matrix requires alpha")
@@ -229,19 +291,13 @@ def build_gradient_matrix(kind: Penalty, u: Image,
         eps = kind.eps_rel * umax
         gamma = kind.gamma_rel * umax ** 2
         mag2 = _grad_mag2(u)
-        psi = sp.diags(alpha / np.sqrt(mag2 + eps ** 2).ravel())
-        ups = sp.diags(2.0 * kind.mu / (mag2 + gamma).ravel() ** 1.5)
-        m = (ops["dxT"] @ (psi @ ops["dx"])
-             + ops["dyT"] @ (psi @ ops["dy"])
-             + ops["lxT"] @ (ups @ ops["lx"])
-             + ops["lyT"] @ (ups @ ops["ly"]))
+        psi = alpha / np.sqrt(mag2 + eps ** 2)
+        ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
+        m = _assemble(g, ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups))
     else:  # el
         w = compute_el_weights(u, kind.beta)
-        wx2 = sp.diags((w.wx ** 2).ravel())
-        wy2 = sp.diags((w.wy ** 2).ravel())
-        m = (ops["lxT"] @ (wx2 @ ops["lx"])
-             + ops["lyT"] @ (wy2 @ ops["ly"]))
-    return RegularizerMatrix(m.tocsr(), kind)
+        m = _assemble(g, ("lx", "ly"), (w.wx ** 2, w.wy ** 2))
+    return RegularizerMatrix(m, kind)
 
 
 def penalty_value(kind: Penalty, u: Image,

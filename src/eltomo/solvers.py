@@ -6,7 +6,8 @@
   (A'A + a R) s = -g by (optionally preconditioned) CG, and re-freeze.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   followed by a few explicit denoising steps against the frozen penalty
-  matrix.
+  matrix. Each iterate is forward-projected once: the projection that
+  gives its fidelity also feeds the next EM update.
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
@@ -329,14 +330,17 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
     sens = A.apply_adjoint(np.ones(A.nrows))
     dead = sens <= 0.0
     sens_safe = np.where(dead, 1.0, sens)
-    floor = 1e-12 * float(np.max(A.apply(u)))
+    q = A.apply(u)
+    floor = 1e-12 * float(np.max(q))
     if floor <= 0.0:
         raise NumericalError("projector maps the unit image to zero")
+    q = np.maximum(q, floor)
 
     history: list[HistoryRecord] = []
     terminated = False
     for nu in range(cfg.outer_iters):
-        q = np.maximum(A.apply(u), floor)
+        # q is the floored projection of u, carried over from the
+        # fidelity of the previous iteration
         u_half = u / sens_safe * A.apply_adjoint(bv / q)
         u_half[dead] = 0.0
         _check_finite(u_half, "mlem step")
@@ -353,8 +357,8 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
             u_new = u_half
         _check_finite(u_new, "mlem denoising")
 
-        q_new = np.maximum(A.apply(u_new), floor)
-        fid = float(np.sum(q_new - bv * np.log(q_new)))
+        q = np.maximum(A.apply(u_new), floor)
+        fid = float(np.sum(q - bv * np.log(q)))
         pen = (penalty_value(kind, Image(A.spec.grid, u_new), alpha)
                if regularized else 0.0)
         step2 = float(np.sum((u_new - u) ** 2))

@@ -2,9 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from eltomo import metrics
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import rmse
+from eltomo.solvers import NumericalError
 
 
 def _run(*args):
@@ -95,6 +97,30 @@ def test_sweep_command(ct_dataset, tmp_path):
     assert lines[0] == "alpha,mean_rmse,gr_mean,br_mean"
     assert len(lines) == 4
     assert all(row.endswith(",,") for row in lines[1:])  # no region masks
+
+
+def test_sweep_prints_failed_points(ct_dataset, tmp_path, monkeypatch,
+                                   capsys):
+    original = metrics.run_method
+
+    def failing(A, dataset, method, fidelity, cfg, **kwargs):
+        if cfg.alpha == 1e-6:
+            raise NumericalError("non-finite iterate in test")
+        return original(A, dataset, method, fidelity, cfg, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", failing)
+    out = tmp_path / "sw"
+    code = _run("sweep", "--dataset", ct_dataset, "--method", "tv",
+                "--param", "alpha", "--values", "1e-7,1e-6",
+                "--outer-iters", 2, "--out", out)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == ("failed alpha=9.9999999999999995e-07 realization 0: "
+                        "non-finite iterate in test")
+    assert lines[1].startswith("best alpha=9.9999999999999995e-08 ")
+    rows = (out / "sweep_tv.csv").read_text().splitlines()
+    assert rows[2] == "9.9999999999999995e-07,nan,,"
 
 
 def test_sweep_honours_precondition(ct_dataset, tmp_path):

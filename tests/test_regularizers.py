@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 
 from eltomo import (GridSpec, Image, build_gradient_matrix,
                     compute_el_weights, el, penalty_value, tikhonov, tv,
                     tv_l2)
-from eltomo.regularizers import Penalty, frozen_quadratic
+from eltomo.regularizers import (Penalty, _amplitude, _grad_mag2, _stencil,
+                                 frozen_quadratic)
 
 ALL_KINDS = (tikhonov(), tv(), tv_l2(mu=0.5), el())
 
@@ -161,3 +163,50 @@ def test_penalty_validation():
     for mu in (-0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="mu"):
             Penalty("tvl2", mu=mu)
+
+
+def _triple_product(kind, u, alpha):
+    """Oracle: the penalty matrix as a sum of sparse triple products
+    D' diag(w) D over the difference stencils."""
+    g = u.grid
+    ops = {name: _stencil(g, name) for name in ("dx", "dy", "lx", "ly")}
+
+    def term(name, w):
+        d = ops[name]
+        return d.T @ (sp.diags(w.ravel()) @ d)
+
+    if kind.kind == "tv":
+        eps = kind.eps_rel * _amplitude(u.values)
+        phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
+        m = term("dx", phi) + term("dy", phi)
+    elif kind.kind == "tvl2":
+        umax = _amplitude(u.values)
+        eps = kind.eps_rel * umax
+        gamma = kind.gamma_rel * umax ** 2
+        mag2 = _grad_mag2(u)
+        psi = alpha / np.sqrt(mag2 + eps ** 2)
+        ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
+        m = (term("dx", psi) + term("dy", psi)
+             + term("lx", ups) + term("ly", ups))
+    else:
+        w = compute_el_weights(u, kind.beta)
+        m = term("lx", w.wx ** 2) + term("ly", w.wy ** 2)
+    return m.tocsr().sorted_indices()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(32, 32), GridSpec(12, 7)],
+                         ids=["32x32", "12x7"])
+@pytest.mark.parametrize("kind,alpha", [
+    (tv(), 1.0), (tv_l2(mu=0.5), 1.0), (el(), None),
+    (tv_l2(mu=1.0), 0.0),  # the curvature part probed by mu_scale_heuristic
+], ids=["tv", "tvl2", "el", "tvl2-alpha0"])
+def test_fixed_pattern_fill_matches_triple_product(grid, kind, alpha, rng):
+    img = Image(grid, gaussian_filter(
+        rng.standard_normal((grid.ny, grid.nx)), 2.0) + 0.1)
+    m = build_gradient_matrix(kind, img, alpha=alpha).matrix
+    oracle = _triple_product(kind, img, alpha)
+    assert m.has_canonical_format
+    assert np.array_equal(m.indptr, oracle.indptr)
+    assert np.array_equal(m.indices, oracle.indices)
+    assert np.all(np.abs(m.data - oracle.data) <= 1e-15 * np.abs(oracle.data))
+    assert (m != m.T).nnz == 0

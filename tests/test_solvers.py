@@ -205,6 +205,32 @@ def test_mlem_nonnegative_iterates_and_count_conservation(rng):
         assert_allclose(A.apply(u).sum(), counts.sum(), rtol=1e-8)
 
 
+@pytest.mark.parametrize("rho", [1e-30, 10.0], ids=["all", "early-stop"])
+@pytest.mark.parametrize("kind,alpha", [(None, 0.0), (el(), 3e-9)],
+                         ids=["mlem", "el"])
+def test_mlem_projects_each_iterate_once(kind, alpha, rho, monkeypatch):
+    A = _operator(16, 24)
+    truth = _blob_truth(A.spec.grid, strictly_positive=True)
+    b = Sinogram(A.spec.angles, A.spec.nbins, forward(A, truth).values * 50.0)
+    calls = {"apply": 0, "apply_adjoint": 0}
+    for name in calls:
+        original = getattr(SparseOperator, name)
+
+        def counted(self, v, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, v)
+
+        monkeypatch.setattr(SparseOperator, name, counted)
+    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho, alpha=alpha)
+    res = mlem_split_reconstruct(A, b, kind, cfg)
+    assert res.terminated_early == (rho > 1.0)
+    assert 1 < len(res.history) <= cfg.outer_iters
+    # the unit-image projection (floor and first update) and the
+    # sensitivity image, then one of each per outer iteration
+    assert calls == {"apply": len(res.history) + 1,
+                     "apply_adjoint": len(res.history) + 1}
+
+
 def test_mlem_rejects_negative_data():
     A = _operator(8, 6)
     values = -np.ones(A.nrows)
