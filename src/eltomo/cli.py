@@ -359,11 +359,15 @@ def _validate_sweep(cfg: dict) -> None:
         raise ConfigError(f"unknown method {cfg['method']!r}")
     if cfg["param"] == "mu" and not cfg["alpha"] > 0:
         raise ConfigError("sweeping mu requires a fixed alpha > 0")
+    if cfg["realizations"] < 1:
+        raise ConfigError("realizations must be >= 1")
 
 
 def cmd_report(cfg: dict) -> int:
     if not cfg["dataset"]:
         raise ConfigError("report needs --dataset DIR")
+    if cfg["realizations"] < 1:
+        raise ConfigError("realizations must be >= 1")
     ds = load_dataset(cfg["dataset"])
     outer = _default_outer(cfg, ds.kind)
     realos = tuple(range(min(cfg["realizations"], len(ds.noisy))))

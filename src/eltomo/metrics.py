@@ -3,7 +3,8 @@
 RMSE here is the relative l2 error |recon - truth| / |truth|, optionally
 restricted to a region mask. Sweeps run one solver over a grid of
 penalty-parameter values (averaged over noise realizations) and pick the
-argmin, with ties broken toward the smaller value.
+argmin, with ties broken toward the smaller value. A comparison reports
+a swept method at its best sweep point; it does not solve it again.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ def run_method(A: SparseOperator, dataset: Dataset, method: str,
         return fixed_point_reconstruct(A, b, kind, cfg,
                                        ground_truth=dataset.ground_truth)
     if fidelity == "poisson":
-        masks = [m for m in (dataset.gr, dataset.br) if m is not None]
         return mlem_split_reconstruct(A, b, kind, cfg,
-                                      ground_truth=dataset.ground_truth,
-                                      masks=masks)
+                                      ground_truth=dataset.ground_truth)
     raise ValueError(f"unknown fidelity {fidelity!r}")
 
 
@@ -132,6 +131,8 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.values) < 2:
             raise ValueError("sweep needs at least 2 grid points")
+        if not self.realizations:
+            raise ValueError("sweep needs at least one realization")
         if any(not v > 0 for v in self.values):
             raise ValueError("sweep values must be positive")
         if self.param not in ("alpha", "mu", "beta"):
@@ -143,8 +144,6 @@ class SweepRun:
     value: float
     realization: int
     rmse: float | None
-    gr_rmse: float | None = None
-    br_rmse: float | None = None
     error: str | None = None  # why the run failed (rmse is None)
 
 
@@ -157,6 +156,8 @@ class SweepResult:
     runs: list[SweepRun]
     best_value: float
     best_index: int
+    # the run of the first realization at the best point; None if it failed
+    best_result: ReconResult | None
 
 
 def run_sweep(spec: SweepSpec, dataset: Dataset,
@@ -168,8 +169,11 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
     gr_means: list[float] = []
     br_means: list[float] = []
     has_regions = dataset.gr is not None and dataset.br is not None
+    best_index = -1
+    best = (math.inf, math.inf)
+    best_result = None
 
-    for value in spec.values:
+    for i, value in enumerate(spec.values):
         alpha, mu, beta = spec.alpha, spec.mu, spec.beta
         if spec.param == "alpha":
             alpha = value
@@ -181,40 +185,36 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
                            inner_iters=spec.inner_iters, rho=spec.rho,
                            alpha=alpha, precondition=spec.precondition)
         errs, gr_errs, br_errs = [], [], []
-        for r in spec.realizations:
+        first = None
+        for k, r in enumerate(spec.realizations):
             try:
                 res = run_method(A, dataset, spec.method, spec.fidelity,
                                  cfg, realization=r, mu=mu, beta=beta)
             except NumericalError as exc:
                 runs.append(SweepRun(value, r, None, error=str(exc)))
                 continue
+            if k == 0:
+                first = res
             e = rmse(res.image, dataset.ground_truth)
-            run = SweepRun(value, r, e)
             if has_regions:
-                run.gr_rmse = rmse(res.image, dataset.ground_truth, dataset.gr)
-                run.br_rmse = rmse(res.image, dataset.ground_truth, dataset.br)
-                gr_errs.append(run.gr_rmse)
-                br_errs.append(run.br_rmse)
+                gr_errs.append(rmse(res.image, dataset.ground_truth, dataset.gr))
+                br_errs.append(rmse(res.image, dataset.ground_truth, dataset.br))
             errs.append(e)
-            runs.append(run)
+            runs.append(SweepRun(value, r, e))
         means.append(float(np.mean(errs)) if errs else math.nan)
         gr_means.append(float(np.mean(gr_errs)) if gr_errs else math.nan)
         br_means.append(float(np.mean(br_errs)) if br_errs else math.nan)
-
-    best_index = -1
-    best = (math.inf, math.inf)
-    for i, (value, mean) in enumerate(zip(spec.values, means)):
-        if math.isnan(mean):
-            continue
-        if (mean, value) < best:
-            best = (mean, value)
+        if errs and (means[i], value) < best:
+            best = (means[i], value)
             best_index = i
+            best_result = first
+
     if best_index < 0:
         raise NumericalError("every sweep grid point failed")
     return SweepResult(spec, tuple(means),
                        tuple(gr_means) if has_regions else None,
                        tuple(br_means) if has_regions else None,
-                       runs, spec.values[best_index], best_index)
+                       runs, spec.values[best_index], best_index, best_result)
 
 
 @dataclass
@@ -241,59 +241,63 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
     with that weight frozen, then the el weight is swept (its edge
     constant beta stays fixed). The unregularized baseline (cgls for
     least-squares data, plain ML-EM for Poisson data) runs as-is.
+
+    A swept method's report is its best sweep point, not a re-run: the
+    sweep's mean errors there and the first realization's run. A failed
+    realization at that point raises its NumericalError.
     """
+    if not realizations:
+        raise ValueError("comparison needs at least one realization")
     if A is None:
         A = build_projector(dataset.recon_projector)
     fidelity = "poisson" if dataset.kind == "et" else "ls"
     baseline = "mlem" if fidelity == "poisson" else "cgls"
     has_regions = dataset.gr is not None and dataset.br is not None
 
-    def sweep(method, param, values, alpha=0.0, mu=0.0):
+    def swept(method, param, values, alpha=0.0, mu=0.0):
         spec = SweepSpec(method=method, param=param, values=values,
                          fidelity=fidelity, alpha=alpha, mu=mu, beta=beta,
                          realizations=realizations, outer_iters=outer_iters,
                          inner_iters=inner_iters, rho=rho,
                          precondition=precondition)
-        return run_sweep(spec, dataset, A=A)
+        result = run_sweep(spec, dataset, A=A)
+        for run in result.runs:
+            if run.value == result.best_value and run.error is not None:
+                raise NumericalError(run.error)
+        i = result.best_index
+        return MethodReport(
+            method=method, best_param=result.best_value,
+            rmse=result.mean_rmse[i], image=result.best_result.image,
+            history_result=result.best_result, sweep=result,
+            gr_rmse=result.gr_mean[i] if has_regions else None,
+            br_rmse=result.br_mean[i] if has_regions else None)
 
-    def finalize(method, best_param, sweep_result, alpha, mu):
-        cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
-                           rho=rho, alpha=alpha, precondition=precondition)
-        results = [run_method(A, dataset, method, fidelity, cfg,
-                              realization=r, mu=mu, beta=beta)
-                   for r in realizations]
-        errs = [rmse(res.image, dataset.ground_truth) for res in results]
-        rep = MethodReport(method=method, best_param=best_param,
-                           rmse=float(np.mean(errs)), image=results[0].image,
-                           history_result=results[0], sweep=sweep_result)
-        if has_regions:
-            rep.gr_rmse = float(np.mean(
-                [rmse(res.image, dataset.ground_truth, dataset.gr)
-                 for res in results]))
-            rep.br_rmse = float(np.mean(
-                [rmse(res.image, dataset.ground_truth, dataset.br)
-                 for res in results]))
-        return rep
+    cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
+                       rho=rho, precondition=precondition)
+    results = [run_method(A, dataset, baseline, fidelity, cfg, realization=r)
+               for r in realizations]
 
-    reports = [finalize(baseline, None, None, 0.0, 0.0)]
+    def mean_rmse(mask=None):
+        return float(np.mean([rmse(res.image, dataset.ground_truth, mask)
+                              for res in results]))
+
+    reports = [MethodReport(
+        method=baseline, best_param=None, rmse=mean_rmse(),
+        image=results[0].image, history_result=results[0],
+        gr_rmse=mean_rmse(dataset.gr) if has_regions else None,
+        br_rmse=mean_rmse(dataset.br) if has_regions else None)]
 
     tv_grid = log_grid(alpha_scale_heuristic(A, dataset, "tv"),
                        sweep_decades, sweep_points)
-    tv_sweep = sweep("tv", "alpha", tv_grid)
-    reports.append(finalize("tv", tv_sweep.best_value, tv_sweep,
-                            tv_sweep.best_value, 0.0))
+    reports.append(swept("tv", "alpha", tv_grid))
 
     mu_grid = log_grid(mu_scale_heuristic(A, dataset),
                        sweep_decades, sweep_points)
-    mu_sweep = sweep("tvl2", "mu", mu_grid, alpha=tv_sweep.best_value)
-    reports.append(finalize("tvl2", mu_sweep.best_value, mu_sweep,
-                            tv_sweep.best_value, mu_sweep.best_value))
+    reports.append(swept("tvl2", "mu", mu_grid, alpha=reports[1].best_param))
 
     el_grid = log_grid(alpha_scale_heuristic(A, dataset, "el", beta=beta),
                        sweep_decades, sweep_points)
-    el_sweep = sweep("el", "alpha", el_grid)
-    reports.append(finalize("el", el_sweep.best_value, el_sweep,
-                            el_sweep.best_value, 0.0))
+    reports.append(swept("el", "alpha", el_grid))
     return reports
 
 

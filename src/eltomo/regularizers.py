@@ -41,6 +41,10 @@ import scipy.sparse as sp
 from .grids import GridSpec, Image
 
 _TINY_AMPLITUDE = 1e-30
+# the TV smoothing eps and the tvl2 curvature floor gamma, relative to
+# the iterate amplitude umax: eps = _EPS_REL umax, gamma = _GAMMA_REL umax^2
+_EPS_REL = 1e-5
+_GAMMA_REL = 1.0
 
 KINDS = ("tikhonov", "tv", "tvl2", "el")
 
@@ -50,18 +54,12 @@ class Penalty:
     """Penalty selector with its per-kind constants."""
 
     kind: str
-    eps_rel: float = 1e-5
-    gamma_rel: float = 1.0
     mu: float = 0.0
     beta: float = 0.03
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if not self.eps_rel > 0:
-            raise ValueError("eps_rel must be positive")
-        if not self.gamma_rel > 0:
-            raise ValueError("gamma_rel must be positive")
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and nonnegative")
         if not (np.isfinite(self.beta) and self.beta > 0):
@@ -72,12 +70,12 @@ def tikhonov() -> Penalty:
     return Penalty("tikhonov")
 
 
-def tv(eps_rel: float = 1e-5) -> Penalty:
-    return Penalty("tv", eps_rel=eps_rel)
+def tv() -> Penalty:
+    return Penalty("tv")
 
 
-def tv_l2(mu: float, eps_rel: float = 1e-5, gamma_rel: float = 1.0) -> Penalty:
-    return Penalty("tvl2", eps_rel=eps_rel, gamma_rel=gamma_rel, mu=mu)
+def tv_l2(mu: float) -> Penalty:
+    return Penalty("tvl2", mu=mu)
 
 
 def el(beta: float = 0.03) -> Penalty:
@@ -88,8 +86,6 @@ def el(beta: float = 0.03) -> Penalty:
 class ElWeights:
     wx: np.ndarray
     wy: np.ndarray
-    ax: float
-    ay: float
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,6 @@ class RegularizerMatrix:
 
     matrix: sp.csr_matrix
     kind: Penalty
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
 
 # --- difference stencils ------------------------------------------------
@@ -264,7 +257,7 @@ def compute_el_weights(u: Image, beta: float) -> ElWeights:
     ay = 2.0 * umax / g.dy
     wx = 1.0 / (1.0 + beta * (_edge_slope_x(u.values, g.hx) / ax) ** 2)
     wy = 1.0 / (1.0 + beta * (_edge_slope_y(u.values, g.hy) / ay) ** 2)
-    return ElWeights(wx, wy, ax, ay)
+    return ElWeights(wx, wy)
 
 
 def _grad_mag2(u: Image) -> np.ndarray:
@@ -281,15 +274,15 @@ def build_gradient_matrix(kind: Penalty, u: Image,
         return RegularizerMatrix(sp.identity(n, format="csr"), kind)
 
     if kind.kind == "tv":
-        eps = kind.eps_rel * _amplitude(u.values)
+        eps = _EPS_REL * _amplitude(u.values)
         phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
         m = _assemble(g, ("dx", "dy"), (phi, phi))
     elif kind.kind == "tvl2":
         if alpha is None:
             raise ValueError("tvl2 gradient matrix requires alpha")
         umax = _amplitude(u.values)
-        eps = kind.eps_rel * umax
-        gamma = kind.gamma_rel * umax ** 2
+        eps = _EPS_REL * umax
+        gamma = _GAMMA_REL * umax ** 2
         mag2 = _grad_mag2(u)
         psi = alpha / np.sqrt(mag2 + eps ** 2)
         ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
@@ -310,13 +303,13 @@ def penalty_value(kind: Penalty, u: Image,
 
     umax = _amplitude(u.values)
     if kind.kind == "tv":
-        eps = kind.eps_rel * umax
+        eps = _EPS_REL * umax
         return float(np.sum(np.sqrt(_grad_mag2(u) + eps ** 2)))
     if kind.kind == "tvl2":
         if alpha is None or not alpha > 0:
             raise ValueError("tvl2 penalty value requires alpha > 0")
-        eps = kind.eps_rel * umax
-        gamma = kind.gamma_rel * umax ** 2
+        eps = _EPS_REL * umax
+        gamma = _GAMMA_REL * umax ** 2
         mag2 = _grad_mag2(u)
         lap = second_x(u.values, g.hx) + second_y(u.values, g.hy)
         tv_term = np.sum(np.sqrt(mag2 + eps ** 2))
@@ -342,7 +335,7 @@ def frozen_quadratic(kind: Penalty, u0: Image,
 
     umax = _amplitude(u0.values)
     if kind.kind == "tv":
-        eps = kind.eps_rel * umax
+        eps = _EPS_REL * umax
         phi = 1.0 / np.sqrt(_grad_mag2(u0) + eps ** 2)
 
         def q(v):
@@ -353,8 +346,8 @@ def frozen_quadratic(kind: Penalty, u0: Image,
     if kind.kind == "tvl2":
         if alpha is None:
             raise ValueError("tvl2 quadratic requires alpha")
-        eps = kind.eps_rel * umax
-        gamma = kind.gamma_rel * umax ** 2
+        eps = _EPS_REL * umax
+        gamma = _GAMMA_REL * umax ** 2
         mag2 = _grad_mag2(u0)
         psi = alpha / np.sqrt(mag2 + eps ** 2)
         ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5

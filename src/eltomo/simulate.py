@@ -218,6 +218,15 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         pairs.append((key, value))
     prov = dict(pairs)
 
+    def prov_value(key, parse):
+        if key not in prov:
+            raise fileio.TomoFileError(f"{prov_path}: missing key {key!r}")
+        try:
+            return parse(prov[key])
+        except ValueError as exc:
+            raise fileio.TomoFileError(
+                f"{prov_path}: bad value for {key}: {prov[key]!r}") from exc
+
     truth = fileio.load_image(src / "ground_truth")
     noiseless = fileio.load_sinogram(src / "noiseless")
     noisy = []
@@ -228,19 +237,19 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if not noisy:
         raise FileNotFoundError(f"no noisy_<r> sinograms in {src}")
 
-    nbins = int(prov["nbins"])
-    pitch = float(prov["bin_pitch"])
+    nbins = prov_value("nbins", int)
+    pitch = prov_value("bin_pitch", float)
     angles = noiseless.angles
-    kind = prov["experiment"]
+    kind = prov_value("experiment", str)
     if kind == "ct":
-        extent = float(prov["extent"])
-        fine_n = int(prov["fine_n"])
+        extent = prov_value("extent", float)
+        fine_n = prov_value("fine_n", int)
         fine_grid = GridSpec(fine_n, fine_n, extent, extent)
         gen_spec = ProjectorSpec(fine_grid, angles, nbins, pitch, "strip")
         recon_spec = ProjectorSpec(truth.grid, angles, nbins, pitch, "linear")
         gr = br = None
     elif kind == "et":
-        fwhm = float(prov["psf_fwhm_bins"])
+        fwhm = prov_value("psf_fwhm_bins", float)
         recon_spec = ProjectorSpec(truth.grid, angles, nbins, pitch, "linear",
                                    psf_fwhm_bins=fwhm)
         gen_spec = recon_spec
@@ -250,6 +259,6 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         br = (fileio.load_mask(src / "mask_BR", g.dx, g.dy)
               if (src / "mask_BR").is_file() else None)
     else:
-        raise ValueError(f"unknown experiment kind {kind!r}")
+        raise fileio.TomoFileError(f"{prov_path}: unknown experiment {kind!r}")
     return Dataset(kind, truth, noiseless, tuple(noisy), recon_spec,
                    gen_spec, gr, br, tuple(pairs))

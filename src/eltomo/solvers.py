@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,8 +38,6 @@ import scipy.sparse.linalg as spla
 from .grids import Image, Sinogram
 from .projector import SparseOperator
 from .regularizers import Penalty, RegularizerMatrix, build_gradient_matrix, penalty_value
-
-_REGULARIZED = ("tikhonov", "tv", "tvl2", "el")
 
 
 class NumericalError(RuntimeError):
@@ -78,7 +76,6 @@ class ReconResult:
     image: Image
     history: list[HistoryRecord]
     terminated_early: bool = False
-    region_rmse: dict[str, float] = field(default_factory=dict)
 
 
 def history_csv(result: ReconResult) -> str:
@@ -313,8 +310,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
 
 def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
                            kind: Penalty | None, cfg: SolverConfig,
-                           ground_truth: Image | None = None,
-                           masks=None) -> ReconResult:
+                           ground_truth: Image | None = None) -> ReconResult:
     """Multiplicative ML-EM step followed by explicit denoising steps
     f <- f - tau ((f - f0) + a R f) against the matrix frozen at the
     post-EM iterate. Starts from all ones; iterates stay nonnegative."""
@@ -370,14 +366,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         if step2 <= cfg.rho:
             terminated = True
             break
-
-    result = ReconResult(Image(A.spec.grid, u), history, terminated)
-    if masks and ground_truth is not None:
-        from .metrics import rmse as region_rmse
-        for mask in masks:
-            result.region_rmse[mask.label] = region_rmse(
-                result.image, ground_truth, mask)
-    return result
+    return ReconResult(Image(A.spec.grid, u), history, terminated)
 
 
 # --- regularization-error bound diagnostic --------------------------------

@@ -246,6 +246,44 @@ def test_non_finite_parameter_is_one_error_line(flags, ct_dataset, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_realizations_below_one_is_one_error_line(command, count, ct_dataset,
+                                                  tmp_path, capsys):
+    assert _run(command, "--dataset", ct_dataset, "--method", "tv",
+                "--realizations", count, "--outer-iters", 2,
+                "--sweep-points", 2, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "realizations" in err[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("key,line,message", [
+    ("nbins", None, "missing key 'nbins'"),
+    ("bin_pitch", "bin_pitch=abc", "bad value for bin_pitch: 'abc'"),
+], ids=["missing-nbins", "bad-bin-pitch"])
+def test_bad_provenance_is_one_io_error_line(key, line, message, ct_dataset,
+                                             tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(ct_dataset, data)
+    prov = data / "provenance.txt"
+    lines = [entry for entry in prov.read_text().splitlines()
+             if not entry.startswith(key + "=")]
+    if line is not None:
+        lines.append(line)
+    prov.write_text("\n".join(lines) + "\n")
+    assert _run("reconstruct", "--dataset", data, "--method", "cgls",
+                "--outer-iters", 2, "--out", tmp_path / "r") == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(prov) in err[0] and message in err[0]
+    assert captured.out == ""
+
+
 def test_preconditioned_reconstruct_does_not_depend_on_seed(ct_dataset,
                                                             tmp_path):
     trees = []

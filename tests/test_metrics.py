@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eltomo import (GridSpec, Image, RegionMask, SolverConfig, SweepSpec,
-                    emit_report, rmse, run_method, run_sweep)
+from eltomo import (EtSimSpec, GridSpec, Image, RegionMask, SolverConfig,
+                    SweepSpec, emit_report, make_et_dataset, metrics, rmse,
+                    run_comparison, run_method, run_sweep)
 from eltomo.metrics import MethodReport
-from eltomo.solvers import fixed_point_reconstruct
+from eltomo.projector import build_projector
+from eltomo.solvers import NumericalError, fixed_point_reconstruct
 from eltomo import tikhonov
+
+
+@pytest.fixture(scope="module")
+def small_et():
+    """Two-realization emission dataset with region masks."""
+    ds = make_et_dataset(EtSimSpec(grid=GridSpec(32, 32), n_angles=16,
+                                   total_counts=2e5, n_realizations=2,
+                                   seed=3))
+    return ds, build_projector(ds.recon_projector)
 
 
 def test_rmse_identities(rng):
@@ -111,6 +122,75 @@ def test_sweep_validation():
         SweepSpec(method="tv", param="alpha", values=(0.0, 1.0))
     with pytest.raises(ValueError):
         SweepSpec(method="tv", param="nope", values=(1.0, 2.0))
+    with pytest.raises(ValueError, match="realization"):
+        SweepSpec(method="tv", param="alpha", values=(1.0, 2.0),
+                  realizations=())
+
+
+def test_comparison_rejects_empty_realizations(small_ct):
+    ds, A = small_ct
+    with pytest.raises(ValueError, match="realization"):
+        run_comparison(ds, outer_iters=2, inner_iters=2, realizations=(),
+                       A=A)
+
+
+def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch):
+    ds, A = small_ct
+    calls = []
+    original = metrics.run_method
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", counting)
+    run_comparison(ds, outer_iters=3, inner_iters=2, sweep_points=2, A=A)
+    # the baseline once, then each of the three sweeps' two points once
+    assert calls == ["cgls"] + ["tv"] * 2 + ["tvl2"] * 2 + ["el"] * 2
+
+
+def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
+    ds, A = small_et
+    realizations = (0, 1)
+    reports = run_comparison(ds, outer_iters=4, inner_iters=3,
+                             realizations=realizations, sweep_points=2, A=A)
+    assert [rep.method for rep in reports] == ["mlem", "tv", "tvl2", "el"]
+    tv_alpha = reports[1].best_param
+    params = {"tv": (tv_alpha, 0.0), "tvl2": (tv_alpha, reports[2].best_param),
+              "el": (reports[3].best_param, 0.0)}
+    for rep in reports[1:]:
+        # oracle: solve the best point again on every realization
+        alpha, mu = params[rep.method]
+        cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=alpha)
+        results = [run_method(A, ds, rep.method, "poisson", cfg,
+                              realization=r, mu=mu) for r in realizations]
+
+        def mean_rmse(mask=None):
+            return float(np.mean([rmse(res.image, ds.ground_truth, mask)
+                                  for res in results]))
+
+        assert rep.image.values.tobytes() == results[0].image.values.tobytes()
+        assert rep.history_result.history == results[0].history
+        assert rep.rmse == mean_rmse()
+        assert rep.gr_rmse == mean_rmse(ds.gr)
+        assert rep.br_rmse == mean_rmse(ds.br)
+
+
+def test_comparison_raises_on_failed_realization_at_best_point(
+        small_et, monkeypatch):
+    ds, A = small_et
+    original = metrics.run_method
+
+    def failing(A, dataset, method, fidelity, cfg, realization=0, **kwargs):
+        if method == "el" and realization == 1:
+            raise NumericalError("boom")
+        return original(A, dataset, method, fidelity, cfg,
+                        realization=realization, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", failing)
+    with pytest.raises(NumericalError, match="^boom$"):
+        run_comparison(ds, outer_iters=3, inner_iters=2, realizations=(0, 1),
+                       sweep_points=2, A=A)
 
 
 def test_emit_report_single_method(tmp_path, small_ct):

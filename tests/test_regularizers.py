@@ -7,8 +7,8 @@ from scipy.ndimage import gaussian_filter
 from eltomo import (GridSpec, Image, build_gradient_matrix,
                     compute_el_weights, el, penalty_value, tikhonov, tv,
                     tv_l2)
-from eltomo.regularizers import (Penalty, _amplitude, _grad_mag2, _stencil,
-                                 frozen_quadratic)
+from eltomo.regularizers import (_EPS_REL, _GAMMA_REL, Penalty, _amplitude,
+                                 _grad_mag2, _stencil, frozen_quadratic)
 
 ALL_KINDS = (tikhonov(), tv(), tv_l2(mu=0.5), el())
 
@@ -64,7 +64,7 @@ def test_tikhonov_matrix_is_identity(rng):
     img = _smooth_image(rng)
     R = build_gradient_matrix(tikhonov(), img)
     v = rng.standard_normal(img.grid.npixels)
-    assert_allclose(R.apply(v), v, rtol=0, atol=0)
+    assert_allclose(R.matrix @ v, v, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
@@ -87,7 +87,7 @@ def test_difference_matrices_annihilate_constants(kind, rng):
     R = build_gradient_matrix(kind, img, alpha=1.0)
     ones = np.ones(img.grid.npixels)
     scale = np.abs(R.matrix.data).max()
-    assert np.abs(R.apply(ones)).max() <= 1e-12 * scale
+    assert np.abs(R.matrix @ ones).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
@@ -98,7 +98,7 @@ def test_matvec_matches_frozen_functional_gradient(kind, rng):
     R = build_gradient_matrix(kind, img, alpha=1.0)
     q = frozen_quadratic(kind, img, alpha=1.0)
     v = rng.standard_normal(img.grid.npixels)
-    g = R.apply(v)
+    g = R.matrix @ v
     delta = 1e-6 * np.abs(v).max()
     candidates = np.flatnonzero(np.abs(g) >= 0.1 * np.abs(g).max())
     for j in rng.choice(candidates, 20, replace=False):
@@ -155,8 +155,6 @@ def test_tvl2_requires_alpha(rng):
 def test_penalty_validation():
     with pytest.raises(ValueError):
         Penalty("unknown")
-    with pytest.raises(ValueError):
-        Penalty("tv", eps_rel=0.0)
     for beta in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="beta"):
             Penalty("el", beta=beta)
@@ -176,13 +174,13 @@ def _triple_product(kind, u, alpha):
         return d.T @ (sp.diags(w.ravel()) @ d)
 
     if kind.kind == "tv":
-        eps = kind.eps_rel * _amplitude(u.values)
+        eps = _EPS_REL * _amplitude(u.values)
         phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
         m = term("dx", phi) + term("dy", phi)
     elif kind.kind == "tvl2":
         umax = _amplitude(u.values)
-        eps = kind.eps_rel * umax
-        gamma = kind.gamma_rel * umax ** 2
+        eps = _EPS_REL * umax
+        gamma = _GAMMA_REL * umax ** 2
         mag2 = _grad_mag2(u)
         psi = alpha / np.sqrt(mag2 + eps ** 2)
         ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
