@@ -315,6 +315,7 @@ def cmd_reconstruct(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     _validate_sweep(cfg)
     ds = load_dataset(cfg["dataset"])
+    realos = _realizations(cfg, ds)
     A = build_projector(ds.recon_projector)
     if cfg["values"]:
         try:
@@ -327,7 +328,6 @@ def cmd_sweep(cfg: dict) -> int:
                   else alpha_scale_heuristic(A, ds, center_method,
                                              beta=cfg["beta"]))
         values = log_grid(center, cfg["sweep_decades"], cfg["sweep_points"])
-    realos = tuple(range(min(cfg["realizations"], len(ds.noisy))))
     spec = SweepSpec(
         method=cfg["method"], param=cfg["param"], values=values,
         fidelity=cfg["fidelity"], alpha=cfg["alpha"], mu=cfg["mu"],
@@ -363,6 +363,15 @@ def _validate_sweep(cfg: dict) -> None:
         raise ConfigError("realizations must be >= 1")
 
 
+def _realizations(cfg: dict, ds) -> tuple[int, ...]:
+    """The first cfg["realizations"] noise realizations of a dataset."""
+    count = cfg["realizations"]
+    if count > len(ds.noisy):
+        raise ConfigError(f"realizations={count} exceeds the dataset's "
+                          f"{len(ds.noisy)}")
+    return tuple(range(count))
+
+
 def cmd_report(cfg: dict) -> int:
     if not cfg["dataset"]:
         raise ConfigError("report needs --dataset DIR")
@@ -370,7 +379,7 @@ def cmd_report(cfg: dict) -> int:
         raise ConfigError("realizations must be >= 1")
     ds = load_dataset(cfg["dataset"])
     outer = _default_outer(cfg, ds.kind)
-    realos = tuple(range(min(cfg["realizations"], len(ds.noisy))))
+    realos = _realizations(cfg, ds)
     reports = run_comparison(
         ds, outer_iters=outer, inner_iters=cfg["inner_iters"],
         realizations=realos, beta=cfg["beta"],

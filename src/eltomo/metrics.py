@@ -5,6 +5,13 @@ restricted to a region mask. Sweeps run one solver over a grid of
 penalty-parameter values (averaged over noise realizations) and pick the
 argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
+
+A sweep's runs, one per (grid value, realization) pair, are independent
+and run on both of the projector's threads when the operator is one
+block (``projector.map_ordered``); a split operator's products already
+use both, so there they run serially. Results are gathered in grid
+order, so nothing here depends on the thread count. The tv, tvl2 and el
+sweeps of a comparison still run one after another.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .grids import Image, RegionMask
-from .projector import SparseOperator, build_projector
+from .projector import SparseOperator, build_projector, map_ordered
 from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov, tv,
                            tv_l2)
 from .simulate import Dataset
@@ -160,20 +167,29 @@ class SweepResult:
     best_result: ReconResult | None
 
 
+def _map_runs(A: SparseOperator, fn, items) -> list:
+    """``[fn(x) for x in items]`` over independent solver runs on A.
+
+    The second core goes to the outermost independent level: the runs
+    share the two threads when A is one block. A split operator's
+    products already use both, so its runs stay serial.
+    """
+    if len(A.blocks) == 1:
+        return map_ordered(fn, items)
+    return [fn(x) for x in items]
+
+
 def run_sweep(spec: SweepSpec, dataset: Dataset,
               A: SparseOperator | None = None) -> SweepResult:
     if A is None:
         A = build_projector(dataset.recon_projector)
-    runs: list[SweepRun] = []
-    means: list[float] = []
-    gr_means: list[float] = []
-    br_means: list[float] = []
+    truth = dataset.ground_truth
     has_regions = dataset.gr is not None and dataset.br is not None
-    best_index = -1
-    best = (math.inf, math.inf)
-    best_result = None
 
-    for i, value in enumerate(spec.values):
+    def solve(job):
+        """(SweepRun, the result if it is a first realization's, region
+        errors) of one (grid value, realization) run."""
+        value, k, r = job
         alpha, mu, beta = spec.alpha, spec.mu, spec.beta
         if spec.param == "alpha":
             alpha = value
@@ -184,23 +200,40 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
         cfg = SolverConfig(outer_iters=spec.outer_iters,
                            inner_iters=spec.inner_iters, rho=spec.rho,
                            alpha=alpha, precondition=spec.precondition)
+        try:
+            res = run_method(A, dataset, spec.method, spec.fidelity, cfg,
+                             realization=r, mu=mu, beta=beta)
+        except NumericalError as exc:
+            return SweepRun(value, r, None, error=str(exc)), None, ()
+        regions = ((rmse(res.image, truth, dataset.gr),
+                    rmse(res.image, truth, dataset.br)) if has_regions else ())
+        return (SweepRun(value, r, rmse(res.image, truth)),
+                res if k == 0 else None, regions)
+
+    outcomes = iter(_map_runs(A, solve, [
+        (value, k, r) for value in spec.values
+        for k, r in enumerate(spec.realizations)]))
+    runs: list[SweepRun] = []
+    means: list[float] = []
+    gr_means: list[float] = []
+    br_means: list[float] = []
+    best_index = -1
+    best = (math.inf, math.inf)
+    best_result = None
+    for i, value in enumerate(spec.values):
         errs, gr_errs, br_errs = [], [], []
         first = None
-        for k, r in enumerate(spec.realizations):
-            try:
-                res = run_method(A, dataset, spec.method, spec.fidelity,
-                                 cfg, realization=r, mu=mu, beta=beta)
-            except NumericalError as exc:
-                runs.append(SweepRun(value, r, None, error=str(exc)))
+        for _ in spec.realizations:
+            run, res, regions = next(outcomes)
+            runs.append(run)
+            if run.rmse is None:
                 continue
-            if k == 0:
+            if res is not None:
                 first = res
-            e = rmse(res.image, dataset.ground_truth)
-            if has_regions:
-                gr_errs.append(rmse(res.image, dataset.ground_truth, dataset.gr))
-                br_errs.append(rmse(res.image, dataset.ground_truth, dataset.br))
-            errs.append(e)
-            runs.append(SweepRun(value, r, e))
+            if regions:
+                gr_errs.append(regions[0])
+                br_errs.append(regions[1])
+            errs.append(run.rmse)
         means.append(float(np.mean(errs)) if errs else math.nan)
         gr_means.append(float(np.mean(gr_errs)) if gr_errs else math.nan)
         br_means.append(float(np.mean(br_errs)) if br_errs else math.nan)
@@ -274,8 +307,9 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
 
     cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
                        rho=rho, precondition=precondition)
-    results = [run_method(A, dataset, baseline, fidelity, cfg, realization=r)
-               for r in realizations]
+    results = _map_runs(A, lambda r: run_method(A, dataset, baseline, fidelity,
+                                                cfg, realization=r),
+                        realizations)
 
     def mean_rmse(mask=None):
         return float(np.mean([rmse(res.image, dataset.ground_truth, mask)

@@ -17,13 +17,15 @@ into two blocks, and large streaming projections split their views. scipy's
 sparse products and numpy's large-array kernels release the interpreter
 lock, so the second thread runs on a second core. How the work is split
 depends only on the matrix, never on the thread count, so neither do
-the output bytes.
+the output bytes. ``map_ordered`` lends the same two threads to callers
+with independent jobs of their own, such as the runs of a sweep.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,26 +52,73 @@ STREAM_SPLIT_PIXELS = 10_000_000
 THREADS = min(2, len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
-# The calling thread does one half of the work and this pool's single
+# The calling thread does one share of the work and this pool's single
 # worker the other. No thread starts before the first task. A forked
 # child inherits the pool but not its thread, so tasks submitted there
 # would never run; the child runs serially instead.
+_ON_WORKER = threading.local()
+
+
+def _mark_worker():
+    _ON_WORKER.active = True
+
+
 _POOL = ThreadPoolExecutor(max_workers=1,
-                           thread_name_prefix="eltomo-projector")
+                           thread_name_prefix="eltomo-projector",
+                           initializer=_mark_worker)
 _POOL_PID = os.getpid()
 
 
-def _run_pair(first, second):
-    """Both results of two callables; with two threads the second runs
-    on the pool worker while the calling thread runs the first."""
-    if THREADS < 2 or os.getpid() != _POOL_PID:
-        return first(), second()
-    future = _POOL.submit(second)
+def map_ordered(fn, items) -> list:
+    """``[fn(x) for x in items]``, with two threads when there are two.
+
+    The calling thread and the pool worker take items in order from one
+    shared queue, and the results come back in item order. It runs
+    serially on one thread, in a forked child and on the pool worker
+    itself, which must never wait for its own queue. If a call raises,
+    no further items are started; once both threads are idle the
+    exception of the earliest failed item is raised, which is the one a
+    serial loop would have raised.
+    """
+    items = list(items)
+    if (THREADS < 2 or len(items) < 2 or os.getpid() != _POOL_PID
+            or getattr(_ON_WORKER, "active", False)):
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    failures: list[tuple[int, BaseException]] = []
+    queue = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = None if failures else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failures.append((i, exc))
+                return
+
+    future = _POOL.submit(drain)
     try:
-        a = first()
+        drain()
     finally:
-        b = future.result()
-    return a, b
+        # a worker still busy with an earlier task (an outer map whose
+        # item this call runs in) has not started this drain, and the
+        # caller has done every item: drop it instead of waiting
+        if not future.cancel():
+            future.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def _run_pair(first, second):
+    """Both results of two callables, one per thread."""
+    return tuple(map_ordered(lambda f: f(), (first, second)))
 
 
 def _row_halves(m: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -28,6 +28,7 @@ on A'A. Only verify_error_bound draws random numbers, from its own seed.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -129,15 +130,18 @@ def estimate_sigma(A: SparseOperator, iters: int = 50) -> float:
 
 
 # sigma depends only on the operator, which is not modified after
-# construction; weak keys let each operator be freed as usual
+# construction; weak keys let each operator be freed as usual. The lock
+# makes runs that start together on two threads compute it once.
 _SIGMAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SIGMAS_LOCK = threading.Lock()
 
 
 def _operator_sigma(A: SparseOperator) -> float:
     """estimate_sigma(A), computed once per operator."""
-    sigma = _SIGMAS.get(A)
-    if sigma is None:
-        sigma = _SIGMAS[A] = estimate_sigma(A)
+    with _SIGMAS_LOCK:
+        sigma = _SIGMAS.get(A)
+        if sigma is None:
+            sigma = _SIGMAS[A] = estimate_sigma(A)
     return sigma
 
 
@@ -262,6 +266,8 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
     history: list[HistoryRecord] = []
     terminated = False
     for nu in range(cfg.outer_iters):
+        # free the previous LU factor before the next one is built
+        apply_m = None
         if regularized:
             R = build_gradient_matrix(kind, Image(A.spec.grid, u), alpha)
             a_eff = _effective_alpha(kind, alpha)
@@ -270,15 +276,13 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
             def apply_h(v, _r=R.matrix, _a=a_eff):
                 return A.apply_adjoint(A.apply(v)) + _a * (_r @ v)
 
-            apply_m = (_factorized_preconditioner(R, a_eff, sigma)
-                       if cfg.precondition else None)
+            if cfg.precondition:
+                apply_m = _factorized_preconditioner(R, a_eff, sigma)
         else:
             grad = A.apply_adjoint(au - bv)
 
             def apply_h(v):
                 return A.apply_adjoint(A.apply(v))
-
-            apply_m = None
 
         collect = None
         if inner_history is not None:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,30 @@ def small_ct():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def bounded():
+    """Call ``fn()`` on a daemon thread and fail the test unless it returns
+    within ``timeout`` seconds. The suite has no per-test timeout, so
+    without this a deadlock between the calling thread and the projector's
+    pool worker would stall the run instead of failing it."""
+    def call(fn, timeout=60.0):
+        box = {}
+
+        def target():
+            try:
+                box["value"] = fn()
+            except BaseException as exc:  # re-raised on the test's thread
+                box["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout)
+        if thread.is_alive():
+            pytest.fail(f"no return within {timeout:.0f} s: deadlocked?")
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+
+    return call

@@ -216,6 +216,37 @@ def test_thread_count_leaves_output_bytes_alone(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.parametrize("simulate,report", [
+    (("--experiment", "ct", "--fine-n", 64, "--recon-n", 32, "--n-angles", 30),
+     ("--precondition", "true")),
+    (("--experiment", "et", "--et-n", 32, "--n-angles", 16, "--counts", 2e5,
+      "--n-realizations", 2), ("--realizations", 2)),
+], ids=["ct", "et"])
+def test_report_bytes_do_not_depend_on_thread_count(simulate, report,
+                                                    tmp_path, monkeypatch,
+                                                    bounded):
+    # the sweep runs go to both threads with two, and provenance records
+    # the paths, so both runs write the same tree
+    import shutil
+
+    from eltomo import projector
+
+    trees = []
+    root = tmp_path / "run"
+    for threads in (1, 2):
+        monkeypatch.setattr(projector, "THREADS", threads)
+        if root.exists():
+            shutil.rmtree(root)
+        data = root / "data"
+        assert _run("simulate", *simulate, "--seed", 4, "--out", data) == 0
+        assert bounded(lambda: _run(
+            "report", "--dataset", data, "--outer-iters", 4,
+            "--inner-iters", 2, "--sweep-points", 3, *report,
+            "--out", root / "report")) == 0
+        trees.append(_tree_bytes(root))
+    assert len(trees[0]) > 10 and trees[0] == trees[1]
+
+
 @pytest.mark.parametrize("flag", ["--tau", "--sigma", "--eps-rel",
                                   "--gamma-rel", "--bogus"])
 def test_removed_or_unknown_flag_is_one_error_line(flag, ct_dataset,
@@ -257,6 +288,18 @@ def test_realizations_below_one_is_one_error_line(command, count, ct_dataset,
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "realizations" in err[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_realizations_above_the_dataset_is_one_error_line(command, ct_dataset,
+                                                          tmp_path, capsys):
+    assert _run(command, "--dataset", ct_dataset, "--method", "tv",
+                "--realizations", 2, "--outer-iters", 2,
+                "--sweep-points", 2, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err == ["error: realizations=2 exceeds the dataset's 1"]
+    assert captured.out == "" and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,line,message", [

@@ -1,10 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from eltomo import (EtSimSpec, GridSpec, Image, RegionMask, SolverConfig,
-                    SweepSpec, emit_report, make_et_dataset, metrics, rmse,
-                    run_comparison, run_method, run_sweep)
+                    SweepSpec, emit_report, make_et_dataset, metrics,
+                    projector, rmse, run_comparison, run_method, run_sweep)
 from eltomo.metrics import MethodReport
 from eltomo.projector import build_projector
 from eltomo.solvers import NumericalError, fixed_point_reconstruct
@@ -191,6 +194,90 @@ def test_comparison_raises_on_failed_realization_at_best_point(
     with pytest.raises(NumericalError, match="^boom$"):
         run_comparison(ds, outer_iters=3, inner_iters=2, realizations=(0, 1),
                        sweep_points=2, A=A)
+
+
+# --- concurrent sweeps -------------------------------------------------
+
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith("eltomo-projector")
+
+
+def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
+                                                bounded):
+    ds, A = small_et
+    assert len(A.blocks) == 1
+    spec = SweepSpec(method="el", param="alpha", fidelity="poisson",
+                     values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
+                     outer_iters=3, inner_iters=2)
+    original = metrics.run_method
+    where = set()
+
+    def failing(A, dataset, method, fidelity, cfg, realization=0, **kwargs):
+        where.add(_on_worker())
+        time.sleep(0.01)  # leaves the worker time to take runs
+        if cfg.alpha == 1e-8 and realization == 1:
+            raise NumericalError(f"boom at {cfg.alpha:g}/{realization}")
+        return original(A, dataset, method, fidelity, cfg,
+                        realization=realization, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", failing)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(projector, "THREADS", threads)
+        results.append(bounded(lambda: run_sweep(spec, ds, A=A)))
+    assert where == {False, True}  # the second sweep used both threads
+    serial, concurrent = results
+    assert [(r.value, r.realization) for r in concurrent.runs] == [
+        (v, k) for v in spec.values for k in spec.realizations]
+    assert concurrent.runs == serial.runs
+    assert [r.error for r in concurrent.runs if r.error] == ["boom at 1e-08/1"]
+    for name in ("mean_rmse", "gr_mean", "br_mean"):
+        assert_array_equal(getattr(concurrent, name), getattr(serial, name))
+    assert concurrent.best_index == serial.best_index
+    assert (concurrent.best_result.image.values.tobytes()
+            == serial.best_result.image.values.tobytes())
+
+
+def test_value_error_in_a_worker_run_leaves_the_sweep(small_ct, monkeypatch,
+                                                      bounded):
+    ds, A = small_ct
+    monkeypatch.setattr(projector, "THREADS", 2)
+    original = metrics.run_method
+
+    def worker_fails(*args, **kwargs):
+        if _on_worker():
+            raise ValueError("bad input on the worker")
+        time.sleep(0.05)  # leaves the worker time to take a run
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", worker_fails)
+    spec = SweepSpec(method="tv", param="alpha", values=(1e-7, 1e-6, 1e-5),
+                     outer_iters=2, inner_iters=2)
+    with pytest.raises(ValueError, match="bad input on the worker"):
+        bounded(lambda: run_sweep(spec, ds, A=A))
+
+
+def test_sweep_on_a_split_operator_completes(small_ct, monkeypatch, bounded):
+    ds, whole = small_ct
+    monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
+    monkeypatch.setattr(projector, "THREADS", 2)
+    A = projector.build_projector(ds.recon_projector)
+    assert len(A.blocks) == 2
+    original = metrics.run_method
+    where = set()
+
+    def recorded(*args, **kwargs):
+        where.add(_on_worker())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", recorded)
+    spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
+                     outer_iters=3, inner_iters=3, precondition=True)
+    split = bounded(lambda: run_sweep(spec, ds, A=A))
+    assert where == {False}  # its products, not its runs, use the worker
+    # the split adjoint rounds differently from the whole one
+    assert_allclose(split.mean_rmse, run_sweep(spec, ds, A=whole).mean_rmse,
+                    rtol=1e-9)
 
 
 def test_emit_report_single_method(tmp_path, small_ct):

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,91 @@ def test_concurrent_callers_share_the_pool(split_low, rng):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 200 and all(g == want for g in got)
+
+
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith("eltomo-projector")
+
+
+def test_map_ordered_keeps_item_order_across_threads(monkeypatch, bounded):
+    monkeypatch.setattr(projector, "THREADS", 2)
+    where = {}
+
+    def job(i):
+        time.sleep(0.01)  # long enough for the worker to take items too
+        where[i] = _on_worker()
+        return i * i
+
+    got = bounded(lambda: projector.map_ordered(job, range(8)))
+    assert got == [i * i for i in range(8)]
+    assert sorted(where) == list(range(8))
+    assert set(where.values()) == {False, True}
+
+
+@pytest.mark.parametrize("slow_first_fails", [True, False])
+def test_map_ordered_raises_the_earliest_failure_last(slow_first_fails,
+                                                      monkeypatch, bounded):
+    monkeypatch.setattr(projector, "THREADS", 2)
+    started, finished = [], []
+
+    def job(i):
+        started.append(i)
+        if i == 0:
+            time.sleep(0.2)  # item 1 fails meanwhile, on the other thread
+        finished.append(i)
+        if i > 0 or slow_first_fails:
+            raise ValueError(f"item {i}")
+
+    earliest = "item 0" if slow_first_fails else "item 1"
+    with pytest.raises(ValueError, match=earliest):
+        bounded(lambda: projector.map_ordered(job, range(6)))
+    # no item starts after a failure, and both threads are done
+    assert sorted(started) == [0, 1] and sorted(finished) == [0, 1]
+
+
+def test_map_ordered_on_the_pool_worker_runs_there(monkeypatch, bounded):
+    monkeypatch.setattr(projector, "THREADS", 2)
+    pool = projector._POOL
+    monkeypatch.setattr(projector, "_POOL", None)  # no submit from here on
+
+    def on_worker():
+        return projector.map_ordered(lambda i: (i, _on_worker()), range(4))
+
+    got = bounded(lambda: pool.submit(on_worker).result())
+    assert got == [(i, True) for i in range(4)]
+
+
+def test_nested_map_does_not_wait_for_the_busy_worker(monkeypatch, bounded):
+    # an outer job on the worker blocks until the caller's job has run a
+    # map of its own, as a run would on a lock the caller holds
+    monkeypatch.setattr(projector, "THREADS", 2)
+    release = threading.Event()
+
+    def job(i):
+        if _on_worker():
+            return release.wait(timeout=30)
+        inner = projector.map_ordered(lambda k: k * k, range(3))
+        release.set()
+        return inner
+
+    got = bounded(lambda: projector.map_ordered(job, range(2)), timeout=10)
+    assert [0, 1, 4] in got
+
+
+def test_map_ordered_jobs_with_split_products(split_low, bounded, rng):
+    # each job's products offer a half to the worker, which runs jobs too
+    A = build_projector(_spec(GridSpec(32, 32), 20, "linear"))
+    assert len(A.blocks) == 2
+    starts = [rng.random(A.ncols) for _ in range(6)]
+
+    def job(v):
+        for _ in range(20):
+            v = A.apply_adjoint(A.apply(v))
+            v /= np.linalg.norm(v)
+        return v.tobytes()
+
+    want = [job(v) for v in starts]
+    assert bounded(lambda: projector.map_ordered(job, starts)) == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +14,7 @@ from eltomo import (GridSpec, Image, Sinogram, SolverConfig, cgls, el,
                     verify_error_bound)
 from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
-from eltomo import solvers
+from eltomo import metrics, projector, solvers
 from eltomo.metrics import SweepSpec, run_sweep
 from eltomo.regularizers import build_gradient_matrix
 from eltomo.solvers import (NumericalError, _effective_alpha,
@@ -341,19 +344,29 @@ def test_factorized_preconditioner_is_exact(kind, rng):
     assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
 
 
-def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch):
+def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
+                                                  bounded):
     ds, _ = small_ct
     A = build_projector(ds.recon_projector)  # an operator not seen before
-    calls = []
+    monkeypatch.setattr(projector, "THREADS", 2)  # points run concurrently
+    calls, threads = [], set()
     original = solvers.power_iteration
+    run_method = metrics.run_method
 
     def counted(*args, **kwargs):
         calls.append(args[1])
+        time.sleep(0.1)  # both threads' first points reach sigma meanwhile
         return original(*args, **kwargs)
 
+    def recorded(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return run_method(*args, **kwargs)
+
     monkeypatch.setattr(solvers, "power_iteration", counted)
+    monkeypatch.setattr(metrics, "run_method", recorded)
     spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
                      outer_iters=3, inner_iters=3, precondition=True)
-    run_sweep(spec, ds, A=A)
+    bounded(lambda: run_sweep(spec, ds, A=A))
+    assert len(threads) == 2
     assert calls == [A.ncols]
     assert solvers._operator_sigma(A) == estimate_sigma(A)
