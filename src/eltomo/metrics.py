@@ -7,16 +7,17 @@ argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
 
 A sweep's runs, one per (grid value, realization) pair, are independent
-and run on both of the projector's threads when the operator is one
-block (``projector.map_ordered``); a split operator's products already
-use both, so there they run serially. Results are gathered in grid
-order, so nothing here depends on the thread count. The tv, tvl2 and el
-sweeps of a comparison still run one after another.
+and run on both of the projector's threads (``projector.map_ordered``)
+when the environment holds BLAS to one thread, and serially otherwise.
+Results are gathered in grid order, so nothing here depends on the
+thread count. The tv, tvl2 and el sweeps of a comparison still run one
+after another.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,14 +168,32 @@ class SweepResult:
     best_result: ReconResult | None
 
 
-def _map_runs(A: SparseOperator, fn, items) -> list:
-    """``[fn(x) for x in items]`` over independent solver runs on A.
+def _one_blas_thread() -> bool:
+    """Whether the environment holds BLAS to one thread, read as OpenBLAS
+    reads it: the first positive count among these variables, else one
+    thread per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
 
-    The second core goes to the outermost independent level: the runs
-    share the two threads when A is one block. A split operator's
-    products already use both, so its runs stay serial.
-    """
-    if len(A.blocks) == 1:
+
+# Solver runs share the two threads only when BLAS runs on one. The
+# solver loops' dot products and norms are BLAS calls, and OpenBLAS's
+# idle threads busy-wait on the core that the second run needs, so with
+# its default of one thread per core concurrent runs are slower than
+# serial ones (README, Threading). Read once, as BLAS reads it at load.
+CONCURRENT_RUNS = _one_blas_thread()
+
+
+def _map_runs(fn, items) -> list:
+    """``[fn(x) for x in items]`` over independent solver runs."""
+    if CONCURRENT_RUNS:
         return map_ordered(fn, items)
     return [fn(x) for x in items]
 
@@ -210,7 +229,7 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
         return (SweepRun(value, r, rmse(res.image, truth)),
                 res if k == 0 else None, regions)
 
-    outcomes = iter(_map_runs(A, solve, [
+    outcomes = iter(_map_runs(solve, [
         (value, k, r) for value in spec.values
         for k, r in enumerate(spec.realizations)]))
     runs: list[SweepRun] = []
@@ -307,8 +326,8 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
 
     cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
                        rho=rho, precondition=precondition)
-    results = _map_runs(A, lambda r: run_method(A, dataset, baseline, fidelity,
-                                                cfg, realization=r),
+    results = _map_runs(lambda r: run_method(A, dataset, baseline, fidelity,
+                                             cfg, realization=r),
                         realizations)
 
     def mean_rmse(mask=None):

@@ -33,6 +33,7 @@ smoothing) instead of dividing by zero.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +163,9 @@ class _Fill:
     indptr: np.ndarray
 
 
+# the lock makes sweep runs that start together build a grid's map once
 _FILL_CACHE: dict[tuple[GridSpec, tuple[str, ...]], _Fill] = {}
+_FILL_LOCK = threading.Lock()
 
 
 def _row_pairs(d: sp.csr_matrix):
@@ -179,12 +182,18 @@ def _row_pairs(d: sp.csr_matrix):
 
 
 def _fill_map(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
-    """The _Fill of the stencils `names`, built once per grid. The
-    stencils themselves are dropped once the map is built."""
+    """The _Fill of the stencils `names`, built once per grid."""
     key = (grid, names)
-    cached = _FILL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    with _FILL_LOCK:
+        cached = _FILL_CACHE.get(key)
+        if cached is None:
+            cached = _FILL_CACHE[key] = _build_fill(grid, names)
+    return cached
+
+
+def _build_fill(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
+    """The _Fill of the stencils `names`; the stencils themselves are
+    dropped once it is built."""
     n = grid.npixels
     ii, jj, cols, coefs = [], [], [], []
     for t, name in enumerate(names):
@@ -204,8 +213,7 @@ def _fill_map(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
     # every matrix filled on this pattern shares these two arrays
     indices.flags.writeable = False
     indptr.flags.writeable = False
-    cached = _FILL_CACHE[key] = _Fill(fill, indices, indptr)
-    return cached
+    return _Fill(fill, indices, indptr)
 
 
 def _assemble(grid: GridSpec, names: tuple[str, ...],

@@ -231,6 +231,7 @@ def test_report_bytes_do_not_depend_on_thread_count(simulate, report,
 
     from eltomo import projector
 
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     trees = []
     root = tmp_path / "run"
     for threads in (1, 2):

@@ -205,7 +205,7 @@ def _on_worker() -> bool:
 def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
                                                 bounded):
     ds, A = small_et
-    assert len(A.blocks) == 1
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     spec = SweepSpec(method="el", param="alpha", fidelity="poisson",
                      values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
                      outer_iters=3, inner_iters=2)
@@ -242,6 +242,7 @@ def test_value_error_in_a_worker_run_leaves_the_sweep(small_ct, monkeypatch,
                                                       bounded):
     ds, A = small_ct
     monkeypatch.setattr(projector, "THREADS", 2)
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     original = metrics.run_method
 
     def worker_fails(*args, **kwargs):
@@ -258,26 +259,59 @@ def test_value_error_in_a_worker_run_leaves_the_sweep(small_ct, monkeypatch,
 
 
 def test_sweep_on_a_split_operator_completes(small_ct, monkeypatch, bounded):
+    # runs on both threads whose products each want both threads too
     ds, whole = small_ct
     monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
     monkeypatch.setattr(projector, "THREADS", 2)
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     A = projector.build_projector(ds.recon_projector)
     assert len(A.blocks) == 2
+    spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
+                     outer_iters=3, inner_iters=3, precondition=True)
+    split = bounded(lambda: run_sweep(spec, ds, A=A))
+    # the split adjoint rounds differently from the whole one
+    assert_allclose(split.mean_rmse, run_sweep(spec, ds, A=whole).mean_rmse,
+                    rtol=1e-9)
+
+
+def test_runs_stay_on_the_calling_thread_unless_blas_keeps_to_one(
+        small_ct, monkeypatch):
+    ds, A = small_ct
+    monkeypatch.setattr(projector, "THREADS", 2)
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
     original = metrics.run_method
     where = set()
 
     def recorded(*args, **kwargs):
         where.add(_on_worker())
+        time.sleep(0.01)  # would leave the worker time to take runs
         return original(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", recorded)
-    spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
-                     outer_iters=3, inner_iters=3, precondition=True)
-    split = bounded(lambda: run_sweep(spec, ds, A=A))
-    assert where == {False}  # its products, not its runs, use the worker
-    # the split adjoint rounds differently from the whole one
-    assert_allclose(split.mean_rmse, run_sweep(spec, ds, A=whole).mean_rmse,
-                    rtol=1e-9)
+    spec = SweepSpec(method="tv", param="alpha", values=(1e-7, 1e-6, 1e-5),
+                     outer_iters=2, inner_iters=2)
+    run_sweep(spec, ds, A=A)
+    assert where == {False}
+
+
+@pytest.mark.parametrize("env,one", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+])
+def test_one_blas_thread_reads_the_environment_as_openblas(env, one,
+                                                           monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert metrics._one_blas_thread() is one
 
 
 def test_emit_report_single_method(tmp_path, small_ct):

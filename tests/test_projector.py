@@ -304,12 +304,18 @@ def test_map_ordered_raises_the_earliest_failure_last(slow_first_fails,
                                                       monkeypatch, bounded):
     monkeypatch.setattr(projector, "THREADS", 2)
     started, finished = [], []
+    second_done = threading.Event()
 
     def job(i):
         started.append(i)
         if i == 0:
-            time.sleep(0.2)  # item 1 fails meanwhile, on the other thread
+            # item 1 runs and fails meanwhile, on the other thread; the
+            # short sleep lets that thread record its failure
+            assert second_done.wait(30)
+            time.sleep(0.05)
         finished.append(i)
+        if i == 1:
+            second_done.set()
         if i > 0 or slow_first_fails:
             raise ValueError(f"item {i}")
 

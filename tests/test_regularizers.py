@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,7 @@ from scipy.ndimage import gaussian_filter
 from eltomo import (GridSpec, Image, build_gradient_matrix,
                     compute_el_weights, el, penalty_value, tikhonov, tv,
                     tv_l2)
+from eltomo import regularizers
 from eltomo.regularizers import (_EPS_REL, _GAMMA_REL, Penalty, _amplitude,
                                  _grad_mag2, _stencil, frozen_quadratic)
 
@@ -208,3 +212,28 @@ def test_fixed_pattern_fill_matches_triple_product(grid, kind, alpha, rng):
     assert np.array_equal(m.indices, oracle.indices)
     assert np.all(np.abs(m.data - oracle.data) <= 1e-15 * np.abs(oracle.data))
     assert (m != m.T).nnz == 0
+
+
+def test_concurrent_first_assemblies_build_the_fill_map_once(monkeypatch,
+                                                             rng):
+    grid = GridSpec(21, 17)  # a grid no other test assembles on
+    built = []
+    original = regularizers._build_fill
+
+    def slow(*args):
+        built.append(args)
+        time.sleep(0.1)  # the other thread asks for the map meanwhile
+        return original(*args)
+
+    monkeypatch.setattr(regularizers, "_build_fill", slow)
+    img = Image(grid, rng.random(grid.npixels) + 0.1)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(
+        build_gradient_matrix(tv(), img, alpha=1.0).matrix))
+        for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(got) == 2 and len(built) == 1
+    assert (got[0] != got[1]).nnz == 0

@@ -349,6 +349,7 @@ def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
     ds, _ = small_ct
     A = build_projector(ds.recon_projector)  # an operator not seen before
     monkeypatch.setattr(projector, "THREADS", 2)  # points run concurrently
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     calls, threads = [], set()
     original = solvers.power_iteration
     run_method = metrics.run_method
