@@ -8,9 +8,15 @@ the same units is what allows data simulated with one kernel to be
 reconstructed with the other.
 
 The matrix is precomputed and stored in CSR form; the adjoint is the
-exact transpose. An optional detector point-spread function (gaussian,
-unit-sum, symmetric boundary) is applied on the sinogram side of both
-the forward and the adjoint map, so the operator pair stays adjoint.
+exact transpose. It is assembled in place: a first pass counts each
+ray's entries, the CSR arrays are allocated once at their exact size and
+a second pass fills them view by view, so a build needs little more
+memory than the matrix itself. A matrix larger than the memory available
+is refused before it is allocated.
+
+An optional detector point-spread function (gaussian, unit-sum,
+symmetric boundary) is applied on the sinogram side of both the forward
+and the adjoint map, so the operator pair stays adjoint.
 
 Projector calls use up to two threads: large operators split their rows
 into two blocks, and large streaming projections split their views. scipy's
@@ -248,60 +254,127 @@ def _strip_angle_entries(spec: ProjectorSpec, angle: float
             np.concatenate(weights))
 
 
-def _linear_angle_entries(spec: ProjectorSpec, angle: float
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interpolating ray tracing: step the ray at one-pixel-pitch
-    increments along its dominant axis and split each sample between the
-    two adjacent pixels."""
+def _buffer(scratch: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array of ``shape``: a view of ``scratch[name]``,
+    which is allocated again only when it is too small."""
+    size = math.prod(shape)
+    buf = scratch.get(name)
+    if buf is None or buf.size < size:
+        buf = scratch[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interpolating ray tracing of one view: step each ray at
+    one-pixel-pitch increments along its dominant axis and split each
+    sample between the two adjacent pixels.
+
+    Returns (pixel index, weight, stored) arrays of shape (nbins, steps,
+    2), the last axis holding the lower and the upper pixel of a sample.
+    They are views of the ``scratch`` buffers, which the next view
+    overwrites, so a build reuses one view's memory for all of them.
+    """
     g = spec.grid
     c, s = math.cos(angle), math.sin(angle)
     hx, hy = g.hx, g.hy
-    sv = spec.bin_centers()
+    sv = spec.bin_centers()[:, None]
+    along_y = abs(c) >= abs(s)
+    steps = g.ny if along_y else g.nx
+    shape = (spec.nbins, steps)
+    frac = _buffer(scratch, "frac", shape, np.float64)
+    i0 = _buffer(scratch, "i0", shape, np.float64)
+    ok = _buffer(scratch, "ok", shape, np.bool_)
+    pixels = _buffer(scratch, "pixels", shape + (2,), np.int64)
+    weights = _buffer(scratch, "weights", shape + (2,), np.float64)
+    stored = _buffer(scratch, "stored", shape + (2,), np.bool_)
 
-    if abs(c) >= abs(s):
+    if along_y:
         # rays are closer to the y axis: step over rows, interpolate x
         y = (np.arange(g.ny) + 0.5) * hy - 0.5 * g.dy
-        tau = (y[None, :] - sv[:, None] * s) / c
-        xpos = sv[:, None] * c - tau * s + 0.5 * g.dx
-        frac = xpos / hx - 0.5
-        i0 = np.floor(frac).astype(np.int64)
-        wr = frac - i0
-        step = hy / abs(c)
-        base = (np.arange(g.ny, dtype=np.int64) * g.nx)[None, :]
-        idx_lo = base + i0
-        idx_hi = base + i0 + 1
-        ok_lo = (i0 >= 0) & (i0 < g.nx)
-        ok_hi = (i0 + 1 >= 0) & (i0 + 1 < g.nx)
+        np.subtract(y[None, :], sv * s, out=frac)
+        frac /= c                                   # tau
+        frac *= s
+        np.subtract(sv * c, frac, out=frac)
+        frac += 0.5 * g.dx                          # x position
+        frac /= hx
+        frac -= 0.5
+        step, limit = hy / abs(c), g.nx
+        np.floor(frac, out=i0)
+        pixels[..., 0] = i0
+        pixels[..., 0] += (np.arange(g.ny, dtype=np.int64) * g.nx)[None, :]
+        np.add(pixels[..., 0], 1, out=pixels[..., 1])
     else:
         # rays are closer to the x axis: step over columns, interpolate y
         x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
-        tau = (sv[:, None] * c - x[None, :]) / s
-        ypos = sv[:, None] * s + tau * c + 0.5 * g.dy
-        frac = ypos / hy - 0.5
-        i0 = np.floor(frac).astype(np.int64)
-        wr = frac - i0
-        step = hx / abs(s)
-        col = np.arange(g.nx, dtype=np.int64)[None, :]
-        idx_lo = i0 * g.nx + col
-        idx_hi = (i0 + 1) * g.nx + col
-        ok_lo = (i0 >= 0) & (i0 < g.ny)
-        ok_hi = (i0 + 1 >= 0) & (i0 + 1 < g.ny)
+        np.subtract(sv * c, x[None, :], out=frac)
+        frac /= s                                   # tau
+        frac *= c
+        np.add(sv * s, frac, out=frac)
+        frac += 0.5 * g.dy                          # y position
+        frac /= hy
+        frac -= 0.5
+        step, limit = hx / abs(s), g.ny
+        np.floor(frac, out=i0)
+        pixels[..., 0] = i0
+        pixels[..., 0] *= g.nx
+        pixels[..., 0] += np.arange(g.nx, dtype=np.int64)[None, :]
+        np.add(pixels[..., 0], g.nx, out=pixels[..., 1])
 
+    wr = np.subtract(frac, i0, out=frac)
+    np.subtract(1.0, wr, out=weights[..., 0])
+    weights[..., 0] *= step
+    np.multiply(wr, step, out=weights[..., 1])
+    # a pixel is stored when it lies on the grid and its weight is positive
+    for side, (low, high) in enumerate(((0, limit), (-1, limit - 1))):
+        keep = stored[..., side]
+        np.greater_equal(i0, low, out=keep)
+        keep &= np.less(i0, high, out=ok)
+        keep &= np.greater(weights[..., side], 0.0, out=ok)
+    return pixels, weights, stored
+
+
+def _linear_angle_entries(spec: ProjectorSpec, angle: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bin index, pixel index, weight) triplets for one view: every
+    lower pixel of a sample, then every upper one."""
+    pixels, weights, stored = _linear_view(spec, angle, {})
     ray = np.broadcast_to(np.arange(spec.nbins, dtype=np.int64)[:, None],
-                          i0.shape)
-    w_lo = (1.0 - wr) * step
-    w_hi = wr * step
-    keep_lo = ok_lo & (w_lo > 0.0)
-    keep_hi = ok_hi & (w_hi > 0.0)
-    return (np.concatenate([ray[keep_lo], ray[keep_hi]]),
-            np.concatenate([idx_lo[keep_lo], idx_hi[keep_hi]]),
-            np.concatenate([w_lo[keep_lo], w_hi[keep_hi]]))
+                          stored.shape[:2])
+    lo, hi = stored[..., 0], stored[..., 1]
+    return (np.concatenate([ray[lo], ray[hi]]),
+            np.concatenate([pixels[..., 0][lo], pixels[..., 1][hi]]),
+            np.concatenate([weights[..., 0][lo], weights[..., 1][hi]]))
 
 
 def _angle_entries(spec: ProjectorSpec, angle: float):
     if spec.kernel == "strip":
         return _strip_angle_entries(spec, angle)
     return _linear_angle_entries(spec, angle)
+
+
+def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
+                ) -> np.ndarray:
+    """Stored entries of each ray of one view."""
+    if spec.kernel == "strip":
+        return np.bincount(_strip_angle_entries(spec, angle)[0],
+                           minlength=spec.nbins)
+    return _linear_view(spec, angle, scratch)[2].sum(axis=(1, 2))
+
+
+def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
+               data: np.ndarray, indices: np.ndarray) -> None:
+    """Write one view's entries into ``data`` and ``indices``, grouped
+    by ray in ray order; within a ray the order is left open."""
+    if spec.kernel == "strip":
+        bins, pixels, weights = _strip_angle_entries(spec, angle)
+        order = np.argsort(bins, kind="stable")
+        data[:] = weights[order]
+        indices[:] = pixels[order]
+    else:
+        pixels, weights, stored = _linear_view(spec, angle, scratch)
+        data[:] = weights[stored]
+        indices[:] = pixels[stored]
 
 
 class SparseOperator:
@@ -364,15 +437,61 @@ class SparseOperator:
         return x
 
 
+def _index_dtype(nnz: int, ncols: int) -> type:
+    """int32 while the entry count and the column count fit in it, else
+    int64: the choice ``scipy.sparse.vstack`` makes for CSR blocks."""
+    return np.int32 if max(nnz, ncols) <= np.iinfo(np.int32).max else np.int64
+
+
+def _available_memory(meminfo: str = "/proc/meminfo") -> int:
+    """Bytes the process can still be given: ``MemAvailable`` from
+    ``meminfo`` where it can be read, else the physical memory."""
+    try:
+        with open(meminfo, encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def build_projector(spec: ProjectorSpec) -> SparseOperator:
-    """Assemble the sparse system matrix, one block of rows per view."""
-    blocks = []
+    """Assemble the sparse system matrix in place, one block of rows per
+    view.
+
+    A first pass counts each ray's entries. From the counts the CSR
+    arrays are allocated once at their exact size, and a second pass
+    fills them view by view, reusing one view's scratch buffers. Sorting
+    each row's columns then gives the arrays that stacking per-view CSR
+    blocks would give, byte for byte, without holding the blocks and
+    their copy at once. An operator larger than the memory available
+    raises ValueError before anything large is allocated.
+    """
     n = spec.grid.npixels
-    for angle in spec.angles:
-        bins, pixels, weights = _angle_entries(spec, angle)
-        blocks.append(sp.csr_matrix((weights, (bins, pixels)),
-                                    shape=(spec.nbins, n)))
-    matrix = sp.vstack(blocks, format="csr")
+    scratch: dict = {}
+    counts = np.concatenate([_row_counts(spec, angle, scratch)
+                             for angle in spec.angles])
+    nnz = int(counts.sum())
+    idx_dtype = _index_dtype(nnz, n)
+    itemsize = np.dtype(idx_dtype).itemsize
+    need = nnz * (8 + itemsize) + (counts.size + 1) * itemsize
+    available = _available_memory()
+    if need > available:
+        raise ValueError(
+            f"the {spec.grid.nx}x{spec.grid.ny} projector with "
+            f"{spec.n_angles} angles needs {need / 2**20:.1f} MiB but only "
+            f"{available / 2**20:.1f} MiB of memory is available; use a "
+            f"smaller --et-n, --recon-n or --n-angles")
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx_dtype)
+    indptr = np.zeros(counts.size + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    for ia, angle in enumerate(spec.angles):
+        rows = slice(indptr[ia * spec.nbins], indptr[(ia + 1) * spec.nbins])
+        _fill_rows(spec, angle, scratch, data[rows], indices[rows])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n))
+    matrix.sort_indices()
     return SparseOperator(matrix, spec)
 
 

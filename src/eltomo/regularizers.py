@@ -169,15 +169,17 @@ _FILL_LOCK = threading.Lock()
 
 
 def _row_pairs(d: sp.csr_matrix):
-    """Every ordered pair of entries sharing a row of d, as (column of
-    the first, column of the second, row, product of the two values)."""
+    """Every ordered pair of entries sharing a row of d, row by row and
+    in column order within a row, as (column of the first, column of the
+    second, product of the two values)."""
     lens = np.diff(d.indptr)
-    row = np.repeat(np.arange(d.shape[0]), lens)
-    reps = lens[row]
-    first = np.repeat(np.arange(d.nnz), reps)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    second = d.indptr[row[first]] + offset
-    return (d.indices[first], d.indices[second], row[first],
+    reps = np.repeat(lens, lens)  # the length of each entry's row
+    first = np.repeat(np.arange(d.nnz, dtype=d.indptr.dtype), reps)
+    # the second entry runs over the first one's row
+    second = np.repeat(d.indptr[:-1], lens * lens)
+    second += np.arange(first.size, dtype=second.dtype)
+    second -= np.repeat(np.cumsum(reps, dtype=second.dtype) - reps, reps)
+    return (d.indices[first], d.indices[second],
             d.data[first] * d.data[second])
 
 
@@ -193,23 +195,37 @@ def _fill_map(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
 
 def _build_fill(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
     """The _Fill of the stencils `names`; the stencils themselves are
-    dropped once it is built."""
+    dropped once it is built.
+
+    The pattern is the structure of sum_t |D_t|' |D_t|, whose positive
+    entries cannot cancel. Each stencil row's pairs are then looked up
+    in it, and since they come in the pattern's order, they form the
+    map's columns as they are, with no sort.
+    """
     n = grid.npixels
-    ii, jj, cols, coefs = [], [], [], []
-    for t, name in enumerate(names):
-        i, j, k, c = _row_pairs(_stencil(grid, name))
-        ii.append(i)
-        jj.append(j)
-        cols.append(k + t * n)
-        coefs.append(c)
-    flat = np.concatenate(ii).astype(np.int64) * n + np.concatenate(jj)
-    pattern, position = np.unique(flat, return_inverse=True)
-    fill = sp.csc_matrix((np.concatenate(coefs),
-                          (position, np.concatenate(cols))),
-                         shape=(pattern.size, len(names) * n))
-    indices = (pattern % n).astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    stencils = [_stencil(grid, name) for name in names]
+    for d in stencils:
+        d.sort_indices()  # the pairs' order below relies on it
+    pattern = sum(abs(d).T @ abs(d) for d in stencils).tocsr()
+    pattern.sort_indices()
+    indices, indptr = pattern.indices, pattern.indptr
+    del pattern
+    idx_dtype = indices.dtype
+    # the pattern with each entry's position as its value
+    where = sp.csr_array((np.arange(indices.size, dtype=idx_dtype),
+                          indices, indptr), shape=(n, n))
+    counts = np.concatenate([np.diff(d.indptr) ** 2 for d in stencils])
+    colptr = np.zeros(counts.size + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=colptr[1:])
+    positions = np.empty(colptr[-1], dtype=idx_dtype)
+    coefs = np.empty(colptr[-1])
+    for t, d in enumerate(stencils):
+        i, j, c = _row_pairs(d)
+        part = slice(colptr[t * n], colptr[(t + 1) * n])
+        positions[part] = where[i, j]
+        coefs[part] = c
+    fill = sp.csc_matrix((coefs, positions, colptr),
+                         shape=(indices.size, len(names) * n))
     # every matrix filled on this pattern shares these two arrays
     indices.flags.writeable = False
     indptr.flags.writeable = False

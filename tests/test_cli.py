@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from eltomo import metrics
+from eltomo import metrics, projector
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import rmse
@@ -356,3 +356,18 @@ def test_no_command_is_config_error(capsys):
     assert run(["--bogus"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "sweep", "report"])
+def test_operator_over_the_memory_budget_is_one_error_line(
+        command, ct_dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(projector, "_available_memory", lambda: 2**14)
+    assert _run(command, "--dataset", ct_dataset, "--method", "tv",
+                "--alpha", 1e-7, "--outer-iters", 2, "--sweep-points", 2,
+                "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "0.0 MiB of memory is available" in err[0]
+    assert "--n-angles" in err[0] and captured.out == ""
+    assert not (tmp_path / "o").exists()

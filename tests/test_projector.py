@@ -3,9 +3,11 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from eltomo import GridSpec, Image, Sinogram, projector, uniform_angles
@@ -388,3 +390,157 @@ def test_forked_child_runs_serially(split_low, rng):
         proc.join()
         pytest.fail("the forked child hung in a projector product")
     assert proc.exitcode == 0
+
+
+# --- in-place assembly ----------------------------------------------------
+
+def _linear_entries_oracle(spec, angle):
+    """The linear kernel's (bin, pixel, weight) triplets of one view, as
+    computed before the kernel reused buffers across views."""
+    g = spec.grid
+    c, s = np.cos(angle), np.sin(angle)
+    hx, hy = g.hx, g.hy
+    sv = spec.bin_centers()
+    if abs(c) >= abs(s):
+        y = (np.arange(g.ny) + 0.5) * hy - 0.5 * g.dy
+        tau = (y[None, :] - sv[:, None] * s) / c
+        xpos = sv[:, None] * c - tau * s + 0.5 * g.dx
+        frac = xpos / hx - 0.5
+        i0 = np.floor(frac).astype(np.int64)
+        wr = frac - i0
+        step = hy / abs(c)
+        base = (np.arange(g.ny, dtype=np.int64) * g.nx)[None, :]
+        idx_lo, idx_hi = base + i0, base + i0 + 1
+        ok_lo = (i0 >= 0) & (i0 < g.nx)
+        ok_hi = (i0 + 1 >= 0) & (i0 + 1 < g.nx)
+    else:
+        x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
+        tau = (sv[:, None] * c - x[None, :]) / s
+        ypos = sv[:, None] * s + tau * c + 0.5 * g.dy
+        frac = ypos / hy - 0.5
+        i0 = np.floor(frac).astype(np.int64)
+        wr = frac - i0
+        step = hx / abs(s)
+        col = np.arange(g.nx, dtype=np.int64)[None, :]
+        idx_lo, idx_hi = i0 * g.nx + col, (i0 + 1) * g.nx + col
+        ok_lo = (i0 >= 0) & (i0 < g.ny)
+        ok_hi = (i0 + 1 >= 0) & (i0 + 1 < g.ny)
+    ray = np.broadcast_to(np.arange(spec.nbins, dtype=np.int64)[:, None],
+                          i0.shape)
+    w_lo, w_hi = (1.0 - wr) * step, wr * step
+    keep_lo, keep_hi = ok_lo & (w_lo > 0.0), ok_hi & (w_hi > 0.0)
+    return (np.concatenate([ray[keep_lo], ray[keep_hi]]),
+            np.concatenate([idx_lo[keep_lo], idx_hi[keep_hi]]),
+            np.concatenate([w_lo[keep_lo], w_hi[keep_hi]]))
+
+
+def _vstack_oracle(spec):
+    """The system matrix as one CSR block per view, stacked."""
+    entries = (projector._strip_angle_entries if spec.kernel == "strip"
+               else _linear_entries_oracle)
+    blocks = []
+    for angle in spec.angles:
+        bins, pixels, weights = entries(spec, angle)
+        blocks.append(sp.csr_matrix((weights, (bins, pixels)),
+                                    shape=(spec.nbins, spec.grid.npixels)))
+    return sp.vstack(blocks, format="csr")
+
+
+def _same_arrays(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.data, b.data), (a.indices, b.indices),
+                            (a.indptr, b.indptr)))
+
+
+EDGE_ANGLES = np.array([0.0, np.pi / 4, 1.0, np.pi / 2, 3 * np.pi / 4,
+                        3.0])
+
+
+@pytest.mark.parametrize("kernel", ["strip", "linear"])
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 7)],
+                         ids=["16x16", "12x7"])
+@pytest.mark.parametrize("views", ["edges", "one", "uniform", "wide"])
+def test_assembly_is_bytewise_the_stacked_views(kernel, fwhm, grid, views):
+    nbins, pitch = default_detector(grid)
+    angles = {"edges": EDGE_ANGLES, "one": np.array([np.pi / 4]),
+              "uniform": uniform_angles(9), "wide": EDGE_ANGLES}[views]
+    if views == "wide":
+        # a detector far wider than the grid leaves its outer rows empty
+        nbins, pitch = 3 * nbins, pitch / 2
+    spec = ProjectorSpec(grid, angles, nbins, pitch, kernel,
+                         psf_fwhm_bins=fwhm)
+    got, want = build_projector(spec).matrix, _vstack_oracle(spec)
+    assert got.shape == want.shape and _same_arrays(got, want)
+    if views == "wide":
+        assert np.any(np.diff(got.indptr) == 0)
+
+
+@pytest.mark.parametrize("angles", [EDGE_ANGLES, uniform_angles(30)],
+                         ids=["edges", "uniform"])
+def test_streaming_entries_keep_their_order(angles):
+    # project_streaming sums each bin's entries in this order
+    for grid in (GridSpec(16, 16), GridSpec(12, 7)):
+        nbins, pitch = default_detector(grid)
+        spec = ProjectorSpec(grid, angles, nbins, pitch, "linear")
+        for angle in spec.angles:
+            got = projector._linear_angle_entries(spec, angle)
+            want = _linear_entries_oracle(spec, angle)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["strip", "linear"])
+def test_assembly_peak_is_near_the_operator(kernel):
+    spec = _spec(GridSpec(96, 96), 60, kernel)
+    build_projector(_spec(GridSpec(8, 8), 2, kernel))  # warm imports
+    tracemalloc.start()
+    try:
+        A = build_projector(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = A.matrix
+    size = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert m.nnz > 500_000 and peak <= 1.3 * size, (peak, size)
+
+
+@pytest.mark.parametrize("nnz,ncols,dtype", [
+    (10, 10, np.int32),
+    (2**31 - 1, 2**31 - 1, np.int32),
+    (2**31, 5, np.int64),
+    (5, 2**31, np.int64),
+    (2**40, 400**2, np.int64),
+])
+def test_index_dtype_follows_stacking(nnz, ncols, dtype):
+    assert projector._index_dtype(nnz, ncols) is dtype
+    assert sp.get_index_dtype(maxval=max(nnz, ncols)) is dtype
+
+
+def test_available_memory_reads_meminfo_or_falls_back(tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:  8000000 kB\nMemFree:  100 kB\n"
+                       "MemAvailable:  2000000 kB\n")
+    assert projector._available_memory(str(meminfo)) == 2000000 * 1024
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert projector._available_memory(str(tmp_path / "none")) == physical
+    meminfo.write_text("MemTotal:  8000000 kB\n")
+    assert projector._available_memory(str(meminfo)) == physical
+
+
+def test_operator_over_the_memory_budget_is_refused(monkeypatch):
+    spec = _spec(GridSpec(32, 32), 20, "linear")
+    m = build_projector(spec).matrix
+    size = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    monkeypatch.setattr(projector, "_available_memory", lambda: size - 1)
+    allocated = []
+    monkeypatch.setattr(projector, "_fill_rows",
+                        lambda *args: allocated.append(args))
+    figure = f"{size / 2**20:.1f} MiB"
+    with pytest.raises(ValueError, match=rf"needs {figure} but only "
+                                         rf"{figure}.*--n-angles"):
+        build_projector(spec)
+    assert allocated == []
+    monkeypatch.setattr(projector, "_available_memory", lambda: size)
+    build_projector(spec)
+    assert len(allocated) == spec.n_angles

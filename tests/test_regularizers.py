@@ -237,3 +237,55 @@ def test_concurrent_first_assemblies_build_the_fill_map_once(monkeypatch,
         t.join(timeout=60)
     assert len(got) == 2 and len(built) == 1
     assert (got[0] != got[1]).nnz == 0
+
+
+def _fill_oracle(grid, names):
+    """The fill map as built before: every stencil row's pairs, the
+    pattern from np.unique over their flat (i, j) keys, and the map from
+    coordinate form."""
+    n = grid.npixels
+    ii, jj, cols, coefs = [], [], [], []
+    for t, name in enumerate(names):
+        d = _stencil(grid, name)
+        lens = np.diff(d.indptr)
+        row = np.repeat(np.arange(d.shape[0]), lens)
+        reps = lens[row]
+        first = np.repeat(np.arange(d.nnz), reps)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps,
+                                                   reps)
+        second = d.indptr[row[first]] + offset
+        ii.append(d.indices[first])
+        jj.append(d.indices[second])
+        cols.append(row[first] + t * n)
+        coefs.append(d.data[first] * d.data[second])
+    flat = np.concatenate(ii).astype(np.int64) * n + np.concatenate(jj)
+    pattern, position = np.unique(flat, return_inverse=True)
+    fill = sp.csc_matrix((np.concatenate(coefs),
+                          (position, np.concatenate(cols))),
+                         shape=(pattern.size, len(names) * n))
+    indices = (pattern % n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    return fill, indices, indptr
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(250, 250), GridSpec(32, 32),
+                                  GridSpec(12, 7)],
+                         ids=["250x250", "32x32", "12x7"])
+@pytest.mark.parametrize("names", [("dx", "dy"), ("lx", "ly"),
+                                   ("dx", "dy", "lx", "ly")],
+                         ids=["tv", "el", "tvl2"])
+def test_fill_map_is_bytewise_the_unique_construction(grid, names, rng):
+    got = regularizers._build_fill(grid, names)
+    fill, indices, indptr = _fill_oracle(grid, names)
+    assert got.fill.shape == fill.shape
+    for a, b in ((got.fill.data, fill.data), (got.fill.indices, fill.indices),
+                 (got.fill.indptr, fill.indptr), (got.indices, indices),
+                 (got.indptr, indptr)):
+        assert _same_bytes(a, b)
+    w = rng.random(fill.shape[1])
+    assert _same_bytes(got.fill @ w, fill @ w)
