@@ -270,10 +270,10 @@ def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
     one-pixel-pitch increments along its dominant axis and split each
     sample between the two adjacent pixels.
 
-    Returns (pixel index, weight, stored) arrays of shape (nbins, steps,
-    2), the last axis holding the lower and the upper pixel of a sample.
-    They are views of the ``scratch`` buffers, which the next view
-    overwrites, so a build reuses one view's memory for all of them.
+    Returns (pixel index, weight, stored) arrays of shape (2, nbins,
+    steps): [0] holds each sample's lower pixel and [1] its upper one.
+    They are views of the ``scratch`` buffers, which the next call
+    overwrites, so a loop over views reuses one view's memory.
     """
     g = spec.grid
     c, s = math.cos(angle), math.sin(angle)
@@ -285,9 +285,9 @@ def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
     frac = _buffer(scratch, "frac", shape, np.float64)
     i0 = _buffer(scratch, "i0", shape, np.float64)
     ok = _buffer(scratch, "ok", shape, np.bool_)
-    pixels = _buffer(scratch, "pixels", shape + (2,), np.int64)
-    weights = _buffer(scratch, "weights", shape + (2,), np.float64)
-    stored = _buffer(scratch, "stored", shape + (2,), np.bool_)
+    pixels = _buffer(scratch, "pixels", (2,) + shape, np.int64)
+    weights = _buffer(scratch, "weights", (2,) + shape, np.float64)
+    stored = _buffer(scratch, "stored", (2,) + shape, np.bool_)
 
     if along_y:
         # rays are closer to the y axis: step over rows, interpolate x
@@ -301,9 +301,9 @@ def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
         frac -= 0.5
         step, limit = hy / abs(c), g.nx
         np.floor(frac, out=i0)
-        pixels[..., 0] = i0
-        pixels[..., 0] += (np.arange(g.ny, dtype=np.int64) * g.nx)[None, :]
-        np.add(pixels[..., 0], 1, out=pixels[..., 1])
+        pixels[0] = i0
+        pixels[0] += (np.arange(g.ny, dtype=np.int64) * g.nx)[None, :]
+        np.add(pixels[0], 1, out=pixels[1])
     else:
         # rays are closer to the x axis: step over columns, interpolate y
         x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
@@ -316,41 +316,38 @@ def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
         frac -= 0.5
         step, limit = hx / abs(s), g.ny
         np.floor(frac, out=i0)
-        pixels[..., 0] = i0
-        pixels[..., 0] *= g.nx
-        pixels[..., 0] += np.arange(g.nx, dtype=np.int64)[None, :]
-        np.add(pixels[..., 0], g.nx, out=pixels[..., 1])
+        pixels[0] = i0
+        pixels[0] *= g.nx
+        pixels[0] += np.arange(g.nx, dtype=np.int64)[None, :]
+        np.add(pixels[0], g.nx, out=pixels[1])
 
     wr = np.subtract(frac, i0, out=frac)
-    np.subtract(1.0, wr, out=weights[..., 0])
-    weights[..., 0] *= step
-    np.multiply(wr, step, out=weights[..., 1])
+    np.subtract(1.0, wr, out=weights[0])
+    weights[0] *= step
+    np.multiply(wr, step, out=weights[1])
     # a pixel is stored when it lies on the grid and its weight is positive
     for side, (low, high) in enumerate(((0, limit), (-1, limit - 1))):
-        keep = stored[..., side]
+        keep = stored[side]
         np.greater_equal(i0, low, out=keep)
         keep &= np.less(i0, high, out=ok)
-        keep &= np.greater(weights[..., side], 0.0, out=ok)
+        keep &= np.greater(weights[side], 0.0, out=ok)
     return pixels, weights, stored
 
 
-def _linear_angle_entries(spec: ProjectorSpec, angle: float
+def _linear_angle_entries(spec: ProjectorSpec, angle: float, scratch: dict
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bin index, pixel index, weight) triplets for one view: every
     lower pixel of a sample, then every upper one."""
-    pixels, weights, stored = _linear_view(spec, angle, {})
-    ray = np.broadcast_to(np.arange(spec.nbins, dtype=np.int64)[:, None],
-                          stored.shape[:2])
-    lo, hi = stored[..., 0], stored[..., 1]
-    return (np.concatenate([ray[lo], ray[hi]]),
-            np.concatenate([pixels[..., 0][lo], pixels[..., 1][hi]]),
-            np.concatenate([weights[..., 0][lo], weights[..., 1][hi]]))
+    pixels, weights, stored = _linear_view(spec, angle, scratch)
+    rays = np.tile(np.arange(spec.nbins, dtype=np.int64), 2)
+    return (np.repeat(rays, stored.sum(axis=2).ravel()), pixels[stored],
+            weights[stored])
 
 
-def _angle_entries(spec: ProjectorSpec, angle: float):
+def _angle_entries(spec: ProjectorSpec, angle: float, scratch: dict):
     if spec.kernel == "strip":
         return _strip_angle_entries(spec, angle)
-    return _linear_angle_entries(spec, angle)
+    return _linear_angle_entries(spec, angle, scratch)
 
 
 def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
@@ -359,7 +356,7 @@ def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
     if spec.kernel == "strip":
         return np.bincount(_strip_angle_entries(spec, angle)[0],
                            minlength=spec.nbins)
-    return _linear_view(spec, angle, scratch)[2].sum(axis=(1, 2))
+    return _linear_view(spec, angle, scratch)[2].sum(axis=(0, 2))
 
 
 def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
@@ -372,7 +369,9 @@ def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
         data[:] = weights[order]
         indices[:] = pixels[order]
     else:
-        pixels, weights, stored = _linear_view(spec, angle, scratch)
+        # rays first: each ray's lower pixels, then its upper ones
+        pixels, weights, stored = (a.transpose(1, 0, 2) for a in
+                                   _linear_view(spec, angle, scratch))
         data[:] = weights[stored]
         indices[:] = pixels[stored]
 
@@ -510,8 +509,10 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
     out = np.zeros((spec.n_angles, spec.nbins))
 
     def views(first):
+        scratch: dict = {}
         for ia in range(first, spec.n_angles, 2):
-            bins, pixels, weights = _angle_entries(spec, spec.angles[ia])
+            bins, pixels, weights = _angle_entries(spec, spec.angles[ia],
+                                                   scratch)
             out[ia] = np.bincount(bins, weights * flat[pixels],
                                   minlength=spec.nbins)
 

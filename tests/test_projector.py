@@ -483,8 +483,9 @@ def test_streaming_entries_keep_their_order(angles):
     for grid in (GridSpec(16, 16), GridSpec(12, 7)):
         nbins, pitch = default_detector(grid)
         spec = ProjectorSpec(grid, angles, nbins, pitch, "linear")
+        scratch = {}  # reused across views, as project_streaming does
         for angle in spec.angles:
-            got = projector._linear_angle_entries(spec, angle)
+            got = projector._linear_angle_entries(spec, angle, scratch)
             want = _linear_entries_oracle(spec, angle)
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
