@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import sys
@@ -398,7 +399,7 @@ def _linear_entries_oracle(spec, angle):
     """The linear kernel's (bin, pixel, weight) triplets of one view, as
     computed before the kernel reused buffers across views."""
     g = spec.grid
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
     hx, hy = g.hx, g.hy
     sv = spec.bin_centers()
     if abs(c) >= abs(s):
@@ -534,14 +535,14 @@ def test_operator_over_the_memory_budget_is_refused(monkeypatch):
     m = build_projector(spec).matrix
     size = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     monkeypatch.setattr(projector, "_available_memory", lambda: size - 1)
-    allocated = []
+    filled, fill = [], projector._fill_rows
     monkeypatch.setattr(projector, "_fill_rows",
-                        lambda *args: allocated.append(args))
+                        lambda *args: filled.append(fill(*args)))
     figure = f"{size / 2**20:.1f} MiB"
     with pytest.raises(ValueError, match=rf"needs {figure} but only "
                                          rf"{figure}.*--n-angles"):
         build_projector(spec)
-    assert allocated == []
+    assert filled == []
     monkeypatch.setattr(projector, "_available_memory", lambda: size)
-    build_projector(spec)
-    assert len(allocated) == spec.n_angles
+    assert _same_arrays(build_projector(spec).matrix, m)
+    assert len(filled) == spec.n_angles
