@@ -99,7 +99,7 @@ def _parse_value(key: str, raw: str):
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -9,9 +9,12 @@ a swept method at its best sweep point; it does not solve it again.
 A sweep's runs, one per (grid value, realization) pair, are independent
 and run on both of the projector's threads (``projector.map_ordered``)
 when the environment holds BLAS to one thread, and serially otherwise.
-Results are gathered in grid order, so nothing here depends on the
-thread count. The tv, tvl2 and el sweeps of a comparison still run one
-after another.
+A comparison puts all of its runs in one such queue: the tv, el and
+baseline runs from the start, and the tvl2 runs, which need tv's best
+weight, at its head as soon as the last tv run finishes. So no thread
+waits at the end of one sweep for the other's last run. Results are
+gathered in grid order, so nothing here depends on the thread count or
+on the order in which runs finish.
 """
 
 from __future__ import annotations
@@ -191,47 +194,53 @@ def _one_blas_thread() -> bool:
 CONCURRENT_RUNS = _one_blas_thread()
 
 
-def _map_runs(fn, items) -> list:
-    """``[fn(x) for x in items]`` over independent solver runs."""
-    if CONCURRENT_RUNS:
-        return map_ordered(fn, items)
-    return [fn(x) for x in items]
+def _map_runs(fn, items, then=None) -> list:
+    """``[fn(x) for x in items]`` over independent solver runs, from one
+    queue that ``then`` may extend (``projector.map_ordered``)."""
+    return map_ordered(fn, items, then=then, serial=not CONCURRENT_RUNS)
 
 
-def run_sweep(spec: SweepSpec, dataset: Dataset,
-              A: SparseOperator | None = None) -> SweepResult:
-    if A is None:
-        A = build_projector(dataset.recon_projector)
+def _sweep_jobs(spec: SweepSpec) -> list[tuple[float, int, int]]:
+    """A sweep's (grid value, realization index, realization) runs, in
+    grid order."""
+    return [(value, k, r) for value in spec.values
+            for k, r in enumerate(spec.realizations)]
+
+
+def _sweep_run(spec: SweepSpec, dataset: Dataset, A: SparseOperator, job):
+    """(SweepRun, the result if it is a first realization's, region
+    errors) of one (grid value, realization) run."""
+    value, k, r = job
+    alpha, mu, beta = spec.alpha, spec.mu, spec.beta
+    if spec.param == "alpha":
+        alpha = value
+    elif spec.param == "mu":
+        mu = value
+    else:
+        beta = value
+    cfg = SolverConfig(outer_iters=spec.outer_iters,
+                       inner_iters=spec.inner_iters, rho=spec.rho,
+                       alpha=alpha, precondition=spec.precondition)
+    try:
+        res = run_method(A, dataset, spec.method, spec.fidelity, cfg,
+                         realization=r, mu=mu, beta=beta)
+    except NumericalError as exc:
+        return SweepRun(value, r, None, error=str(exc)), None, ()
     truth = dataset.ground_truth
+    regions = ((rmse(res.image, truth, dataset.gr),
+                rmse(res.image, truth, dataset.br))
+               if dataset.gr is not None and dataset.br is not None else ())
+    return (SweepRun(value, r, rmse(res.image, truth)),
+            res if k == 0 else None, regions)
+
+
+def gather_sweep(spec: SweepSpec, dataset: Dataset,
+                 outcomes: list) -> SweepResult:
+    """A sweep's result from its runs' outcomes, given in the order of
+    ``_sweep_jobs``: per-point means and the argmin, ties broken toward
+    the smaller value."""
     has_regions = dataset.gr is not None and dataset.br is not None
-
-    def solve(job):
-        """(SweepRun, the result if it is a first realization's, region
-        errors) of one (grid value, realization) run."""
-        value, k, r = job
-        alpha, mu, beta = spec.alpha, spec.mu, spec.beta
-        if spec.param == "alpha":
-            alpha = value
-        elif spec.param == "mu":
-            mu = value
-        else:
-            beta = value
-        cfg = SolverConfig(outer_iters=spec.outer_iters,
-                           inner_iters=spec.inner_iters, rho=spec.rho,
-                           alpha=alpha, precondition=spec.precondition)
-        try:
-            res = run_method(A, dataset, spec.method, spec.fidelity, cfg,
-                             realization=r, mu=mu, beta=beta)
-        except NumericalError as exc:
-            return SweepRun(value, r, None, error=str(exc)), None, ()
-        regions = ((rmse(res.image, truth, dataset.gr),
-                    rmse(res.image, truth, dataset.br)) if has_regions else ())
-        return (SweepRun(value, r, rmse(res.image, truth)),
-                res if k == 0 else None, regions)
-
-    outcomes = iter(_map_runs(solve, [
-        (value, k, r) for value in spec.values
-        for k, r in enumerate(spec.realizations)]))
+    outcomes = iter(outcomes)
     runs: list[SweepRun] = []
     means: list[float] = []
     gr_means: list[float] = []
@@ -269,6 +278,14 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
                        runs, spec.values[best_index], best_index, best_result)
 
 
+def run_sweep(spec: SweepSpec, dataset: Dataset,
+              A: SparseOperator | None = None) -> SweepResult:
+    if A is None:
+        A = build_projector(dataset.recon_projector)
+    return gather_sweep(spec, dataset, _map_runs(
+        lambda job: _sweep_run(spec, dataset, A, job), _sweep_jobs(spec)))
+
+
 @dataclass
 class MethodReport:
     method: str
@@ -289,14 +306,30 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
                    A: SparseOperator | None = None) -> list[MethodReport]:
     """Sweep-then-evaluate comparison of the four methods on a dataset.
 
-    The tv weight is swept first, the second tvl2 constant mu is swept
-    with that weight frozen, then the el weight is swept (its edge
+    The tv weight is swept, the second tvl2 constant mu is swept with
+    tv's best weight frozen, and the el weight is swept (its edge
     constant beta stays fixed). The unregularized baseline (cgls for
     least-squares data, plain ML-EM for Poisson data) runs as-is.
 
+    Every solver run comes from one queue (``_map_runs``): the tv runs,
+    then the el runs, then the baseline realizations. When the last tv
+    run finishes, tv's sweep is gathered and the tvl2 runs go to the head
+    of the queue. All three grid centers are computed before the queue
+    starts. Each sweep is gathered as ``run_sweep`` gathers it, so
+    nothing depends on the order in which the runs finish.
+
     A swept method's report is its best sweep point, not a re-run: the
     sweep's mean errors there and the first realization's run. A failed
-    realization at that point raises its NumericalError.
+    realization at that point, or a sweep whose every point failed,
+    raises its NumericalError; for tv this happens as tv's sweep is
+    gathered, and no tvl2 run starts.
+
+    When runs raise, the queue starts no further run, and once both
+    threads are idle the exception of the earliest raising run in queue
+    order wins (tv, el, baseline, tvl2); tv's NumericalError counts as
+    its last run's. A solver's NumericalError inside a sweep is a failed
+    point, not an exception. After the queue, tvl2's NumericalError is
+    raised before el's.
     """
     if not realizations:
         raise ValueError("comparison needs at least one realization")
@@ -306,52 +339,76 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
     baseline = "mlem" if fidelity == "poisson" else "cgls"
     has_regions = dataset.gr is not None and dataset.br is not None
 
-    def swept(method, param, values, alpha=0.0, mu=0.0):
-        spec = SweepSpec(method=method, param=param, values=values,
-                         fidelity=fidelity, alpha=alpha, mu=mu, beta=beta,
+    def sweep_spec(method, param, center, alpha=0.0):
+        return SweepSpec(method=method, param=param,
+                         values=log_grid(center, sweep_decades, sweep_points),
+                         fidelity=fidelity, alpha=alpha, beta=beta,
                          realizations=realizations, outer_iters=outer_iters,
                          inner_iters=inner_iters, rho=rho,
                          precondition=precondition)
-        result = run_sweep(spec, dataset, A=A)
+
+    def report(spec, outcomes):
+        result = gather_sweep(spec, dataset, outcomes)
         for run in result.runs:
             if run.value == result.best_value and run.error is not None:
                 raise NumericalError(run.error)
         i = result.best_index
         return MethodReport(
-            method=method, best_param=result.best_value,
+            method=spec.method, best_param=result.best_value,
             rmse=result.mean_rmse[i], image=result.best_result.image,
             history_result=result.best_result, sweep=result,
             gr_rmse=result.gr_mean[i] if has_regions else None,
             br_rmse=result.br_mean[i] if has_regions else None)
 
+    tv_spec = sweep_spec("tv", "alpha", alpha_scale_heuristic(A, dataset, "tv"))
+    mu_center = mu_scale_heuristic(A, dataset)
+    el_spec = sweep_spec("el", "alpha",
+                         alpha_scale_heuristic(A, dataset, "el", beta=beta))
     cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
                        rho=rho, precondition=precondition)
-    results = _map_runs(lambda r: run_method(A, dataset, baseline, fidelity,
-                                             cfg, realization=r),
-                        realizations)
+
+    def solve(item):
+        spec, job = item
+        if spec is None:
+            return run_method(A, dataset, baseline, fidelity, cfg,
+                              realization=job)
+        return _sweep_run(spec, dataset, A, job)
+
+    tv_jobs = [(tv_spec, job) for job in _sweep_jobs(tv_spec)]
+    el_jobs = [(el_spec, job) for job in _sweep_jobs(el_spec)]
+    base_jobs = [(None, r) for r in realizations]
+    tv_outcomes: dict[int, tuple] = {}
+    tv = tvl2_spec = None
+
+    def then(i, outcome):
+        """The tvl2 runs, once every tv run has finished."""
+        nonlocal tv, tvl2_spec
+        if i >= len(tv_jobs):
+            return ()
+        tv_outcomes[i] = outcome
+        if len(tv_outcomes) < len(tv_jobs):
+            return ()
+        tv = report(tv_spec, [tv_outcomes[j] for j in range(len(tv_jobs))])
+        tvl2_spec = sweep_spec("tvl2", "mu", mu_center, alpha=tv.best_param)
+        return [(tvl2_spec, job) for job in _sweep_jobs(tvl2_spec)]
+
+    outcomes = _map_runs(solve, tv_jobs + el_jobs + base_jobs, then=then)
+    el_end = len(tv_jobs) + len(el_jobs)
+    base_end = el_end + len(base_jobs)
+    tvl2 = report(tvl2_spec, outcomes[base_end:])
+    el_report = report(el_spec, outcomes[len(tv_jobs):el_end])
+    results = outcomes[el_end:base_end]
 
     def mean_rmse(mask=None):
         return float(np.mean([rmse(res.image, dataset.ground_truth, mask)
                               for res in results]))
 
-    reports = [MethodReport(
+    base = MethodReport(
         method=baseline, best_param=None, rmse=mean_rmse(),
         image=results[0].image, history_result=results[0],
         gr_rmse=mean_rmse(dataset.gr) if has_regions else None,
-        br_rmse=mean_rmse(dataset.br) if has_regions else None)]
-
-    tv_grid = log_grid(alpha_scale_heuristic(A, dataset, "tv"),
-                       sweep_decades, sweep_points)
-    reports.append(swept("tv", "alpha", tv_grid))
-
-    mu_grid = log_grid(mu_scale_heuristic(A, dataset),
-                       sweep_decades, sweep_points)
-    reports.append(swept("tvl2", "mu", mu_grid, alpha=reports[1].best_param))
-
-    el_grid = log_grid(alpha_scale_heuristic(A, dataset, "el", beta=beta),
-                       sweep_decades, sweep_points)
-    reports.append(swept("el", "alpha", el_grid))
-    return reports
+        br_rmse=mean_rmse(dataset.br) if has_regions else None)
+    return [base, tv, tvl2, el_report]
 
 
 def _fmt(x: float) -> str:

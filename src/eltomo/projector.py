@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,39 +76,68 @@ _POOL = ThreadPoolExecutor(max_workers=1,
 _POOL_PID = os.getpid()
 
 
-def map_ordered(fn, items) -> list:
+def map_ordered(fn, items, then=None, serial: bool = False) -> list:
     """``[fn(x) for x in items]``, with two threads when there are two.
 
     The calling thread and the pool worker take items in order from one
-    shared queue, and the results come back in item order. It runs
-    serially on one thread, in a forked child and on the pool worker
-    itself, which must never wait for its own queue. If a call raises,
-    no further items are started; once both threads are idle the
-    exception of the earliest failed item is raised, which is the one a
-    serial loop would have raised.
+    shared queue, and the results come back in item order. If ``then``
+    is given, ``then(i, result)`` runs as item ``i`` finishes, one call
+    at a time, and the items it returns go to the head of the queue in
+    their order; their results follow those of the items before them.
+    With ``then``, a thread that finds the queue empty waits while an
+    item is still running, since that item may add more; without it,
+    the thread is done.
+
+    It runs on the calling thread alone when asked (``serial``), on one
+    thread, in a forked child and on the pool worker itself, which must
+    never wait for its own queue; alone, it takes the items in the same
+    queue order. If a call to ``fn`` or ``then`` raises, no further
+    items are started; once both threads are idle the exception of the
+    earliest failed item is raised, which is the one a serial loop would
+    have raised.
     """
     items = list(items)
-    if (THREADS < 2 or len(items) < 2 or os.getpid() != _POOL_PID
-            or getattr(_ON_WORKER, "active", False)):
-        return [fn(x) for x in items]
     results = [None] * len(items)
     failures: list[tuple[int, BaseException]] = []
-    queue = iter(range(len(items)))
-    lock = threading.Lock()
+    queue = deque(range(len(items)))
+    running = 0
+    changed = threading.Condition()
 
     def drain():
+        nonlocal running
         while True:
-            with lock:
-                i = None if failures else next(queue, None)
-            if i is None:
-                return
+            with changed:
+                while (not queue and running and then is not None
+                       and not failures):
+                    changed.wait()
+                if failures or not queue:
+                    return
+                i = queue.popleft()
+                running += 1
             try:
-                results[i] = fn(items[i])
+                result = fn(items[i])
+                with changed:
+                    results[i] = result
+                    more = list(then(i, result)) if then is not None else []
+                    queue.extendleft(reversed(range(
+                        len(items), len(items) + len(more))))
+                    items.extend(more)
+                    results.extend([None] * len(more))
             except BaseException as exc:
-                with lock:
+                with changed:
                     failures.append((i, exc))
-                return
+            finally:
+                with changed:
+                    running -= 1
+                    changed.notify_all()
 
+    if (serial or THREADS < 2 or (len(items) < 2 and then is None)
+            or os.getpid() != _POOL_PID
+            or getattr(_ON_WORKER, "active", False)):
+        drain()
+        if failures:
+            raise failures[0][1]
+        return results
     future = _POOL.submit(drain)
     try:
         drain()
@@ -127,14 +157,22 @@ def _run_pair(first, second):
     return tuple(map_ordered(lambda f: f(), (first, second)))
 
 
+def _sharing(cls, shape, data, indices, indptr):
+    """A ``cls`` matrix on exactly these arrays. scipy's constructor would
+    copy a slice shorter than half of the array it views (``prune``)."""
+    m = cls(shape, dtype=data.dtype)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    return m
+
+
 def _row_halves(m: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Two row blocks of about equal nnz sharing ``m``'s data and indices."""
     r = int(np.searchsorted(m.indptr, m.nnz // 2))
     k = int(m.indptr[r])
-    top = sp.csr_matrix((m.data[:k], m.indices[:k], m.indptr[:r + 1]),
-                        shape=(r, m.shape[1]))
-    bottom = sp.csr_matrix((m.data[k:], m.indices[k:], m.indptr[r:] - k),
-                           shape=(m.shape[0] - r, m.shape[1]))
+    top = _sharing(sp.csr_matrix, (r, m.shape[1]), m.data[:k],
+                   m.indices[:k], m.indptr[:r + 1])
+    bottom = _sharing(sp.csr_matrix, (m.shape[0] - r, m.shape[1]),
+                      m.data[k:], m.indices[k:], m.indptr[r:] - k)
     return top, bottom
 
 
@@ -394,7 +432,9 @@ class SparseOperator:
         self.blocks = (_row_halves(matrix) if matrix.nnz >= SPLIT_NNZ
                        else (matrix,))
         # CSC views of the transposes: exact adjoint without copying data
-        self._adjoints = tuple(b.T for b in self.blocks)
+        self._adjoints = tuple(
+            _sharing(sp.csc_matrix, b.shape[::-1], b.data, b.indices,
+                     b.indptr) for b in self.blocks)
 
     @property
     def nrows(self) -> int:

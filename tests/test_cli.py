@@ -54,6 +54,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 2
 
 
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=1\n\xff\n")
+    assert _run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config")
+    assert not (tmp_path / "o").exists()
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=1\nfine_n=64\nrecon_n=32\nn_angles=30\n")

@@ -147,9 +147,11 @@ def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", counting)
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
     run_comparison(ds, outer_iters=3, inner_iters=2, sweep_points=2, A=A)
-    # the baseline once, then each of the three sweeps' two points once
-    assert calls == ["cgls"] + ["tv"] * 2 + ["tvl2"] * 2 + ["el"] * 2
+    # each of the three sweeps' two points once and the baseline once, in
+    # queue order: tvl2 goes to the head as the last tv run finishes
+    assert calls == ["tv"] * 2 + ["tvl2"] * 2 + ["el"] * 2 + ["cgls"]
 
 
 def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
@@ -292,6 +294,136 @@ def test_runs_stay_on_the_calling_thread_unless_blas_keeps_to_one(
                      outer_iters=2, inner_iters=2)
     run_sweep(spec, ds, A=A)
     assert where == {False}
+
+
+# --- one queue per comparison --------------------------------------------
+
+@pytest.fixture()
+def two_threads(monkeypatch):
+    monkeypatch.setattr(projector, "THREADS", 2)
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
+
+
+def _comparison(ds, A, bounded):
+    return bounded(lambda: run_comparison(
+        ds, outer_iters=4, inner_iters=3, realizations=(0, 1),
+        sweep_points=2, A=A))
+
+
+def test_concurrent_comparison_matches_serial(small_et, two_threads,
+                                              monkeypatch, bounded):
+    ds, A = small_et
+    original = metrics.run_method
+    where = set()
+
+    def recorded(*args, **kwargs):
+        where.add(_on_worker())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", recorded)
+    concurrent = _comparison(ds, A, bounded)
+    assert where == {False, True}
+    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
+    where.clear()
+    serial = _comparison(ds, A, bounded)
+    assert where == {False}
+    for got, want in zip(concurrent, serial, strict=True):
+        assert got.method == want.method
+        assert got.best_param == want.best_param
+        assert got.image.values.tobytes() == want.image.values.tobytes()
+        assert got.history_result.history == want.history_result.history
+        assert (got.rmse, got.gr_rmse, got.br_rmse) == (
+            want.rmse, want.gr_rmse, want.br_rmse)
+        if want.sweep is None:
+            assert got.sweep is None
+            continue
+        assert got.sweep.runs == want.sweep.runs
+        for name in ("mean_rmse", "gr_mean", "br_mean"):
+            assert_array_equal(getattr(got.sweep, name),
+                               getattr(want.sweep, name))
+
+
+def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
+                                              monkeypatch, bounded):
+    # the first tv run waits until an el run has started, and the
+    # second-to-last el run until a tvl2 run has: both can only happen
+    # if tvl2 joins the queue ahead of el runs that are already in it
+    ds, A = small_et
+    original = metrics.run_method
+    lock = threading.Lock()
+    started: list[str] = []
+    el_started, tvl2_started = threading.Event(), threading.Event()
+    waited: list[bool] = []
+
+    def ordered(A, dataset, method, *args, **kwargs):
+        with lock:
+            started.append(method)
+            count = started.count(method)
+        if method == "el":
+            el_started.set()
+        if method == "tvl2":
+            tvl2_started.set()
+        if method == "tv" and count == 1:
+            waited.append(el_started.wait(timeout=20))
+        if method == "el" and count == 3:  # of 4: 2 points x 2 realizations
+            waited.append(tvl2_started.wait(timeout=20))
+        return original(A, dataset, method, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", ordered)
+    _comparison(ds, A, bounded)
+    assert waited == [True, True]
+    last_el = len(started) - 1 - started[::-1].index("el")
+    assert started.index("el") < started.index("tvl2") < last_el
+    assert sorted(started) == sorted(
+        ["mlem"] * 2 + ["tv"] * 4 + ["tvl2"] * 4 + ["el"] * 4)
+
+
+def test_value_error_in_a_worker_tv_run_ends_the_comparison(
+        small_et, two_threads, monkeypatch, bounded):
+    ds, A = small_et
+    original = metrics.run_method
+    started: list[str] = []
+    worker_failed = threading.Event()
+
+    def worker_fails(A, dataset, method, *args, **kwargs):
+        started.append(method)
+        if method == "tv" and _on_worker():
+            worker_failed.set()
+            raise ValueError("bad input on the worker")
+        if method == "tv":
+            assert worker_failed.wait(timeout=20)
+        return original(A, dataset, method, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", worker_fails)
+    with pytest.raises(ValueError, match="bad input on the worker"):
+        _comparison(ds, A, bounded)
+    assert worker_failed.is_set()
+    assert "tvl2" not in started
+
+
+@pytest.mark.parametrize("failing,message", [
+    (lambda realization: True, "^every sweep grid point failed$"),
+    (lambda realization: realization == 1, "^tv fails on realization 1$"),
+])
+def test_failed_tv_sweep_raises_before_any_tvl2_run(
+        failing, message, small_et, two_threads, monkeypatch, bounded):
+    ds, A = small_et
+    original = metrics.run_method
+    started: list[str] = []
+
+    def tv_fails(A, dataset, method, fidelity, cfg, realization=0,
+                 **kwargs):
+        started.append(method)
+        if method == "tv" and failing(realization):
+            raise NumericalError(f"tv fails on realization {realization}")
+        return original(A, dataset, method, fidelity, cfg,
+                        realization=realization, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_method", tv_fails)
+    with pytest.raises(NumericalError, match=message):
+        _comparison(ds, A, bounded)
+    assert started.count("tv") == 4
+    assert "tvl2" not in started
 
 
 @pytest.mark.parametrize("env,one", [

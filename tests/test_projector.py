@@ -1,3 +1,4 @@
+import collections
 import math
 import multiprocessing
 import os
@@ -196,14 +197,20 @@ def split_low(monkeypatch):
     monkeypatch.setattr(projector, "THREADS", 2)
 
 
-@pytest.mark.parametrize("fwhm", [None, 3.0])
-def test_split_apply_is_bitwise_whole_matrix(fwhm, split_low, rng):
-    spec = _spec(GridSpec(64, 64), 30, "linear", fwhm=fwhm)
+@pytest.mark.parametrize("fwhm,n_angles", [
+    (None, 30), (3.0, 30), (None, 31), (3.0, 31)],
+    ids=["None", "3.0", "None-31", "3.0-31"])
+def test_split_apply_is_bitwise_whole_matrix(fwhm, n_angles, split_low, rng):
+    spec = _spec(GridSpec(64, 64), n_angles, "linear", fwhm=fwhm)
     A = build_projector(spec)
     assert len(A.blocks) == 2
     top, bottom = A.blocks
-    assert np.shares_memory(top.data, A.matrix.data)
-    assert np.shares_memory(bottom.indices, A.matrix.indices)
+    # an odd view count leaves the halves unequal, where scipy's
+    # constructor would copy the smaller one
+    assert (top.nnz == bottom.nnz) == (n_angles % 2 == 0)
+    for block in A.blocks + A._adjoints:
+        assert np.shares_memory(block.data, A.matrix.data)
+        assert np.shares_memory(block.indices, A.matrix.indices)
     u = rng.random(A.ncols)
     whole = A.matrix @ u
     if fwhm is not None:
@@ -327,6 +334,134 @@ def test_map_ordered_raises_the_earliest_failure_last(slow_first_fails,
         bounded(lambda: projector.map_ordered(job, range(6)))
     # no item starts after a failure, and both threads are done
     assert sorted(started) == [0, 1] and sorted(finished) == [0, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_follow_up_items_go_to_the_head_of_the_queue(threads, monkeypatch,
+                                                     bounded):
+    monkeypatch.setattr(projector, "THREADS", threads)
+    started = []
+
+    def job(x):
+        started.append(x)
+        return x
+
+    def then(i, result):
+        return {0: ["a", "b"], "a": ["c"]}.get(result, ())
+
+    got = bounded(lambda: projector.map_ordered(job, [0, 1, 2, 3],
+                                                then=then))
+    # follow-ups come after the items before them, in the order added
+    assert got == [0, 1, 2, 3, "a", "b", "c"]
+    if threads == 1:
+        assert started == [0, "a", "c", "b", 1, 2, 3]
+
+
+def test_follow_ups_keep_both_threads(monkeypatch, bounded):
+    # the worker has nothing left to take while the caller's item runs,
+    # but waits instead of leaving, and takes a follow-up it adds
+    monkeypatch.setattr(projector, "THREADS", 2)
+    release, b_started = threading.Event(), threading.Event()
+    where = {}
+
+    def job(x):
+        where[x] = _on_worker()
+        if x == "first":
+            assert release.wait(timeout=20)
+        if x == "second":
+            release.set()
+        if x == "a":  # only another thread can start b meanwhile
+            assert b_started.wait(timeout=20)
+        if x == "b":
+            b_started.set()
+        return x
+
+    def then(i, result):
+        return ["a", "b"] if result == "first" else ()
+
+    got = bounded(lambda: projector.map_ordered(job, ["first", "second"],
+                                                then=then))
+    assert got == ["first", "second", "a", "b"]
+    assert {where["a"], where["b"]} == {False, True}
+
+
+def test_follow_ups_under_contention(monkeypatch):
+    # more calling threads than cores, each map growing its own queue
+    monkeypatch.setattr(projector, "THREADS", 2)
+    ran = collections.Counter()
+    lock = threading.Lock()
+
+    def job(x):
+        with lock:
+            ran[x] += 1
+        return x
+
+    def then(i, x):
+        return [x * 2 + 1, x * 2 + 2] if x < 100 else ()
+
+    def want(caller):
+        items, head = [caller * 1000 + k for k in range(4)], 0
+        # every item below 100 adds two more until the values pass it
+        while head < len(items):
+            items += then(None, items[head])
+            head += 1
+        return items
+
+    got = {}
+
+    def call(caller):
+        for _ in range(20):
+            got[caller] = projector.map_ordered(
+                job, [caller * 1000 + k for k in range(4)], then=then)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(c,))
+                   for c in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for caller in range(4):
+        assert sorted(got[caller]) == sorted(want(caller))
+    expected = collections.Counter()
+    for caller in range(4):
+        expected.update(want(caller) * 20)
+    assert ran == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_raising_follow_up_hook_stops_the_queue(threads, monkeypatch,
+                                                  bounded):
+    monkeypatch.setattr(projector, "THREADS", threads)
+    started = []
+
+    def then(i, result):
+        if i == 0:
+            raise ValueError("no follow-ups")
+        return [99]
+
+    def job(x):
+        started.append(x)
+        return x
+
+    with pytest.raises(ValueError, match="no follow-ups"):
+        bounded(lambda: projector.map_ordered(job, [0], then=then))
+    assert started == [0]
+
+
+def test_serial_map_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(projector, "THREADS", 2)
+
+    def job(i):
+        time.sleep(0.01)  # would leave the worker time to take items
+        return _on_worker()
+
+    assert projector.map_ordered(job, range(4), serial=True) == [False] * 4
 
 
 def test_map_ordered_on_the_pool_worker_runs_there(monkeypatch, bounded):
