@@ -22,8 +22,8 @@ import numpy as np
 from . import fileio
 from .grids import GridSpec, Image, uniform_angles
 from .metrics import (SweepSpec, alpha_scale_heuristic, emit_report,
-                      log_grid, run_comparison, run_method, run_sweep,
-                      sweep_csv)
+                      log_grid, mu_scale_heuristic, run_comparison,
+                      run_method, run_sweep, sweep_csv)
 from .phantoms import (default_ct_descriptor, generate_ct_phantom,
                        generate_et_phantom, load_descriptor, save_descriptor)
 from .projector import (ProjectorSpec, build_projector, default_detector,
@@ -32,7 +32,7 @@ from .regularizers import (KINDS, build_gradient_matrix, el,
                            frozen_quadratic, tikhonov, tv, tv_l2)
 from .simulate import (CtSimSpec, EtSimSpec, load_dataset, make_ct_dataset,
                        make_et_dataset, save_dataset)
-from .solvers import (NumericalError, SolverConfig, history_csv,
+from .solvers import (NumericalError, SolverConfig, dot, history_csv, norm,
                       verify_error_bound)
 
 
@@ -323,10 +323,14 @@ def cmd_sweep(cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad values list {cfg['values']!r}") from exc
     else:
-        center_method = cfg["method"]
-        center = (cfg["alpha"] if cfg["param"] == "mu" and cfg["alpha"] > 0
-                  else alpha_scale_heuristic(A, ds, center_method,
-                                             beta=cfg["beta"]))
+        # centred where report sweeps: mu at its own scale, beta at --beta
+        if cfg["param"] == "mu":
+            center = mu_scale_heuristic(A, ds)
+        elif cfg["param"] == "beta":
+            center = cfg["beta"]
+        else:
+            center = alpha_scale_heuristic(A, ds, cfg["method"],
+                                           mu=cfg["mu"], beta=cfg["beta"])
         values = log_grid(center, cfg["sweep_decades"], cfg["sweep_points"])
     spec = SweepSpec(
         method=cfg["method"], param=cfg["param"], values=values,
@@ -351,14 +355,20 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _validate_sweep(cfg: dict) -> None:
+    param, method = cfg["param"], cfg["method"]
     if not cfg["dataset"]:
         raise ConfigError("sweep needs --dataset DIR")
-    if cfg["method"] in ("cgls", "mlem"):
+    if method in ("cgls", "mlem"):
         raise ConfigError("cannot sweep an unregularized method")
-    if cfg["method"] not in KINDS:
-        raise ConfigError(f"unknown method {cfg['method']!r}")
-    if cfg["param"] == "mu" and not cfg["alpha"] > 0:
-        raise ConfigError("sweeping mu requires a fixed alpha > 0")
+    if method not in KINDS:
+        raise ConfigError(f"unknown method {method!r}")
+    for swept, owner in (("mu", "tvl2"), ("beta", "el")):
+        if param == swept and method != owner:
+            raise ConfigError(f"sweeping {swept} needs method {owner!r}")
+    if param in ("mu", "beta") and not cfg["alpha"] > 0:
+        raise ConfigError(f"sweeping {param} requires a fixed alpha > 0")
+    if param == "alpha" and method == "tvl2" and not cfg["mu"] > 0:
+        raise ConfigError("method 'tvl2' needs mu > 0")
     if cfg["realizations"] < 1:
         raise ConfigError("realizations must be >= 1")
 
@@ -418,9 +428,9 @@ def adjoint_suite(n: int = 64, n_angles: int = 30, pairs: int = 100,
                 atv = A.apply_adjoint(v)
                 if inject_fault:
                     atv = np.roll(atv, 1)
-                lhs = float(au @ v)
-                rhs = float(u @ atv)
-                denom = np.linalg.norm(au) * np.linalg.norm(v)
+                lhs = dot(au, v)
+                rhs = dot(u, atv)
+                denom = norm(au) * norm(v)
                 worst = max(worst, abs(lhs - rhs) / denom)
     return worst <= tol, worst
 
@@ -478,7 +488,7 @@ def mlem_fixed_point_suite(n: int = 32, n_angles: int = 40, seed: int = 0,
     floor = 1e-12 * float(np.max(A.apply(np.ones(A.ncols))))
     q = np.maximum(A.apply(flat), floor)
     update = flat / np.where(sens > 0, sens, 1.0) * A.apply_adjoint(b.ravel() / q)
-    move = float(np.linalg.norm(update - flat) / np.linalg.norm(flat))
+    move = norm(update - flat) / norm(flat)
     return move <= tol, move
 
 

@@ -7,20 +7,19 @@ argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
 
 A sweep's runs, one per (grid value, realization) pair, are independent
-and run on both of the projector's threads (``projector.map_ordered``)
-when the environment holds BLAS to one thread, and serially otherwise.
+and run on both of the projector's threads (``projector.map_ordered``).
 A comparison puts all of its runs in one such queue: the tv, el and
 baseline runs from the start, and the tvl2 runs, which need tv's best
 weight, at its head as soon as the last tv run finishes. So no thread
 waits at the end of one sweep for the other's last run. Results are
-gathered in grid order, so nothing here depends on the thread count or
-on the order in which runs finish.
+gathered in grid order, and every norm is summed in a fixed order
+(``solvers.dot``), so nothing here depends on this package's or BLAS's
+thread count, or on the order in which runs finish.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,23 +33,23 @@ from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov, tv,
 from .simulate import Dataset
 from .solvers import (NumericalError, ReconResult, SolverConfig, cgls,
                       fixed_point_reconstruct, history_csv,
-                      mlem_split_reconstruct)
+                      mlem_split_reconstruct, norm)
 
 
 def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
     if recon.grid != truth.grid:
         raise ValueError("reconstruction and truth grids differ")
-    r = recon.values
-    t = truth.values
+    r = recon.ravel()
+    t = truth.ravel()
     if mask is not None:
         if mask.grid != truth.grid:
             raise ValueError("mask grid does not match image grid")
-        r = r[mask.membership]
-        t = t[mask.membership]
-    denom = float(np.linalg.norm(t))
+        r = r[mask.membership.ravel()]
+        t = t[mask.membership.ravel()]
+    denom = norm(t)
     if denom == 0.0:
         raise ValueError("truth is zero on the evaluated region")
-    return float(np.linalg.norm(r - t) / denom)
+    return norm(r - t) / denom
 
 
 def make_penalty(method: str, mu: float = 0.0,
@@ -171,35 +170,6 @@ class SweepResult:
     best_result: ReconResult | None
 
 
-def _one_blas_thread() -> bool:
-    """Whether the environment holds BLAS to one thread, read as OpenBLAS
-    reads it: the first positive count among these variables, else one
-    thread per core."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if count > 0:
-            return count == 1
-    return False
-
-
-# Solver runs share the two threads only when BLAS runs on one. The
-# solver loops' dot products and norms are BLAS calls, and OpenBLAS's
-# idle threads busy-wait on the core that the second run needs, so with
-# its default of one thread per core concurrent runs are slower than
-# serial ones (README, Threading). Read once, as BLAS reads it at load.
-CONCURRENT_RUNS = _one_blas_thread()
-
-
-def _map_runs(fn, items, then=None) -> list:
-    """``[fn(x) for x in items]`` over independent solver runs, from one
-    queue that ``then`` may extend (``projector.map_ordered``)."""
-    return map_ordered(fn, items, then=then, serial=not CONCURRENT_RUNS)
-
-
 def _sweep_jobs(spec: SweepSpec) -> list[tuple[float, int, int]]:
     """A sweep's (grid value, realization index, realization) runs, in
     grid order."""
@@ -282,7 +252,7 @@ def run_sweep(spec: SweepSpec, dataset: Dataset,
               A: SparseOperator | None = None) -> SweepResult:
     if A is None:
         A = build_projector(dataset.recon_projector)
-    return gather_sweep(spec, dataset, _map_runs(
+    return gather_sweep(spec, dataset, map_ordered(
         lambda job: _sweep_run(spec, dataset, A, job), _sweep_jobs(spec)))
 
 
@@ -311,7 +281,7 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
     constant beta stays fixed). The unregularized baseline (cgls for
     least-squares data, plain ML-EM for Poisson data) runs as-is.
 
-    Every solver run comes from one queue (``_map_runs``): the tv runs,
+    Every solver run comes from one queue (``map_ordered``): the tv runs,
     then the el runs, then the baseline realizations. When the last tv
     run finishes, tv's sweep is gathered and the tvl2 runs go to the head
     of the queue. All three grid centers are computed before the queue
@@ -392,7 +362,7 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
         tvl2_spec = sweep_spec("tvl2", "mu", mu_center, alpha=tv.best_param)
         return [(tvl2_spec, job) for job in _sweep_jobs(tvl2_spec)]
 
-    outcomes = _map_runs(solve, tv_jobs + el_jobs + base_jobs, then=then)
+    outcomes = map_ordered(solve, tv_jobs + el_jobs + base_jobs, then=then)
     el_end = len(tv_jobs) + len(el_jobs)
     base_end = el_end + len(base_jobs)
     tvl2 = report(tvl2_spec, outcomes[base_end:])

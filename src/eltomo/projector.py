@@ -76,7 +76,7 @@ _POOL = ThreadPoolExecutor(max_workers=1,
 _POOL_PID = os.getpid()
 
 
-def map_ordered(fn, items, then=None, serial: bool = False) -> list:
+def map_ordered(fn, items, then=None) -> list:
     """``[fn(x) for x in items]``, with two threads when there are two.
 
     The calling thread and the pool worker take items in order from one
@@ -88,13 +88,13 @@ def map_ordered(fn, items, then=None, serial: bool = False) -> list:
     item is still running, since that item may add more; without it,
     the thread is done.
 
-    It runs on the calling thread alone when asked (``serial``), on one
-    thread, in a forked child and on the pool worker itself, which must
-    never wait for its own queue; alone, it takes the items in the same
-    queue order. If a call to ``fn`` or ``then`` raises, no further
-    items are started; once both threads are idle the exception of the
-    earliest failed item is raised, which is the one a serial loop would
-    have raised.
+    It runs on the calling thread alone when there is one thread, in a
+    forked child and on the pool worker itself, which must never wait
+    for its own queue; alone, it takes the items in the same queue
+    order. If a call to ``fn`` or ``then`` raises, no further items are
+    started; once both threads are idle the exception of the earliest
+    failed item is raised, which is the one a serial loop would have
+    raised.
     """
     items = list(items)
     results = [None] * len(items)
@@ -131,7 +131,7 @@ def map_ordered(fn, items, then=None, serial: bool = False) -> list:
                     running -= 1
                     changed.notify_all()
 
-    if (serial or THREADS < 2 or (len(items) < 2 and then is None)
+    if (THREADS < 2 or (len(items) < 2 and then is None)
             or os.getpid() != _POOL_PID
             or getattr(_ON_WORKER, "active", False)):
         drain()

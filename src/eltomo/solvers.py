@@ -23,6 +23,13 @@ Every solver is a deterministic function of its inputs. Both power
 iterations start at the all-ones vector: the one for the ML-EM
 denoising step size runs on |R|, the one for the preconditioner's sigma
 on A'A. Only verify_error_bound draws random numbers, from its own seed.
+
+Every dot product and norm of the solvers, and of the error metrics,
+goes through ``dot``, which sums in numpy's own fixed order instead of
+calling BLAS. A threaded BLAS splits a long dot product across its
+threads and adds the parts in an order that depends on their count, so
+through BLAS the results would change with BLAS's thread setting. Only
+verify_error_bound, a dense desk-scale diagnostic, uses LAPACK.
 """
 
 from __future__ import annotations
@@ -88,11 +95,24 @@ def history_csv(result: ReconResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relative_rmse(u: np.ndarray, truth: Image | None) -> float | None:
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two 1-D arrays, summed in an order that depends only on
+    their length (numpy's own loop; BLAS's depends on its thread count)."""
+    return float(np.einsum("i,i", a, b))
+
+
+def norm(a: np.ndarray) -> float:
+    """The l2 norm of a 1-D array, as ``dot`` sums it."""
+    return math.sqrt(dot(a, a))
+
+
+def _relative_rmse(truth: Image | None):
+    """u -> |u - truth| / |truth|, or None without a truth."""
     if truth is None:
-        return None
+        return lambda u: None
     t = truth.ravel()
-    return float(np.linalg.norm(u - t) / np.linalg.norm(t))
+    scale = np.float64(norm(t))  # a zero truth reads inf or nan
+    return lambda u: float(norm(u - t) / scale)
 
 
 def _check_finite(u: np.ndarray, where: str) -> None:
@@ -101,8 +121,8 @@ def _check_finite(u: np.ndarray, where: str) -> None:
 
 
 def power_iteration(apply_op, n: int, iters: int) -> float:
-    """Largest eigenvalue of a symmetric PSD operator, started at the
-    all-ones vector.
+    """Largest eigenvalue of a symmetric PSD operator, from ``iters``
+    (at least 1) applications started at the all-ones vector.
 
     The operator must be entrywise nonnegative (such as A'A for a
     nonnegative A, or |R| for a penalty matrix R): its top eigenvector
@@ -110,15 +130,15 @@ def power_iteration(apply_op, n: int, iters: int) -> float:
     does not qualify: it annihilates the ones vector.
     """
     v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = apply_op(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
+    w = apply_op(v)
+    for _ in range(iters - 1):
+        scale = norm(w)
+        if scale == 0.0:
             return 0.0
-        lam = float(v @ w)
-        v = w / norm
-    return lam
+        v = w / scale
+        w = apply_op(v)
+    # only the last step's Rayleigh quotient is read
+    return dot(v, w)
 
 
 def estimate_sigma(A: SparseOperator, iters: int = 50) -> float:
@@ -164,16 +184,17 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
     bv = b.ravel()
     if bv.size != A.nrows:
         raise ValueError("sinogram does not match operator shape")
+    relative_rmse = _relative_rmse(ground_truth)
     x = np.zeros(A.ncols)
     r = bv.copy()
     s = A.apply_adjoint(r)
     p = s.copy()
-    gamma = float(s @ s)
+    gamma = dot(s, s)
     history: list[HistoryRecord] = []
     broke = False
     for k in range(iters):
         q = A.apply(p)
-        delta = float(q @ q)
+        delta = dot(q, q)
         if delta <= 0.0:
             broke = True
             break
@@ -182,12 +203,11 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
         r -= a * q
         _check_finite(x, "cgls")
         s = A.apply_adjoint(r)
-        gamma_new = float(s @ s)
-        fid = 0.5 * float(r @ r)
+        gamma_new = dot(s, s)
+        fid = 0.5 * dot(r, r)
         history.append(HistoryRecord(
             iteration=k + 1, objective=fid, fidelity=fid, penalty=0.0,
-            step_norm2=float(a * a * (p @ p)),
-            rmse=_relative_rmse(x, ground_truth)))
+            step_norm2=a * a * dot(p, p), rmse=relative_rmse(x)))
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     return ReconResult(Image(A.spec.grid, x), history, terminated_early=broke)
@@ -196,30 +216,28 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
 # --- inner CG ------------------------------------------------------------
 
 def _cg(apply_h, rhs: np.ndarray, max_iters: int, rho: float,
-        apply_m=None, collect=None) -> tuple[np.ndarray, int]:
+        apply_m=None) -> tuple[np.ndarray, int]:
     """CG on the SPD system H s = rhs; stops after max_iters steps or
     when the squared step update drops to rho."""
     s = np.zeros_like(rhs)
     r = rhs.copy()
     z = apply_m(r) if apply_m is not None else r
     p = z.copy()
-    rz = float(r @ z)
+    rz = dot(r, z)
     iters = 0
     for _ in range(max_iters):
         hp = apply_h(p)
-        php = float(p @ hp)
+        php = dot(p, hp)
         if php <= 0.0:
             break
         a = rz / php
         s += a * p
         iters += 1
-        if collect is not None:
-            collect(s.copy())
-        if a * a * float(p @ p) <= rho:
+        if a * a * dot(p, p) <= rho:
             break
         r -= a * hp
         z = apply_m(r) if apply_m is not None else r
-        rz_new = float(r @ z)
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return s, iters
@@ -248,8 +266,7 @@ def _factorized_preconditioner(R: RegularizerMatrix, alpha_eff: float,
 
 def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
                             kind: Penalty | None, cfg: SolverConfig,
-                            ground_truth: Image | None = None,
-                            inner_history=None) -> ReconResult:
+                            ground_truth: Image | None = None) -> ReconResult:
     """Outer iterations freeze the penalty diagonals at the current
     iterate, then CG approximately solves (A'A + a R) s = -g. With
     alpha = 0 this degenerates to Gauss-Newton on the data term."""
@@ -258,6 +275,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
         raise ValueError("sinogram does not match operator shape")
     alpha = cfg.alpha
     regularized = kind is not None and alpha > 0
+    relative_rmse = _relative_rmse(ground_truth)
 
     u = np.zeros(A.ncols)
     au = np.zeros(A.nrows)
@@ -284,14 +302,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
             def apply_h(v):
                 return A.apply_adjoint(A.apply(v))
 
-        collect = None
-        if inner_history is not None:
-            steps: list[np.ndarray] = []
-            collect = steps.append
-        s, _ = _cg(apply_h, -grad, cfg.inner_iters, cfg.rho,
-                   apply_m=apply_m, collect=collect)
-        if inner_history is not None:
-            inner_history.append((u.copy(), grad.copy(), steps))
+        s, _ = _cg(apply_h, -grad, cfg.inner_iters, cfg.rho, apply_m=apply_m)
         u = u + s
         _check_finite(u, "fixed_point_reconstruct")
         au = A.apply(u)
@@ -299,11 +310,10 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
         fid = 0.5 * float(np.sum((au - bv) ** 2))
         pen = (penalty_value(kind, Image(A.spec.grid, u), alpha)
                if regularized else 0.0)
-        step2 = float(s @ s)
+        step2 = dot(s, s)
         history.append(HistoryRecord(
             iteration=nu + 1, objective=fid + alpha * pen, fidelity=fid,
-            penalty=pen, step_norm2=step2,
-            rmse=_relative_rmse(u, ground_truth)))
+            penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
         if step2 <= cfg.rho:
             terminated = True
             break
@@ -325,6 +335,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         raise ValueError("Poisson data must be nonnegative")
     alpha = cfg.alpha
     regularized = kind is not None and alpha > 0
+    relative_rmse = _relative_rmse(ground_truth)
 
     u = np.ones(A.ncols)
     sens = A.apply_adjoint(np.ones(A.nrows))
@@ -365,8 +376,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         u = u_new
         history.append(HistoryRecord(
             iteration=nu + 1, objective=fid + alpha * pen, fidelity=fid,
-            penalty=pen, step_norm2=step2,
-            rmse=_relative_rmse(u, ground_truth)))
+            penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
         if step2 <= cfg.rho:
             terminated = True
             break

@@ -5,7 +5,9 @@ import pytest
 from eltomo import metrics, projector
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
-from eltomo.metrics import rmse
+from eltomo.metrics import alpha_scale_heuristic, mu_scale_heuristic, rmse
+from eltomo.projector import build_projector
+from eltomo.simulate import load_dataset
 from eltomo.solvers import NumericalError
 
 
@@ -148,6 +150,50 @@ def test_sweep_honours_precondition(ct_dataset, tmp_path):
         assert float(mean_rmse) == rmse(image, truth)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--method", "tv", "--param", "mu", "--alpha", 1e-3),
+     "sweeping mu needs method 'tvl2'"),
+    (("--method", "tv", "--param", "beta", "--alpha", 1e-3),
+     "sweeping beta needs method 'el'"),
+    (("--method", "tvl2", "--param", "mu", "--mu", 1e-7),
+     "sweeping mu requires a fixed alpha > 0"),
+    (("--method", "el", "--param", "beta"),
+     "sweeping beta requires a fixed alpha > 0"),
+    (("--method", "tvl2", "--param", "alpha"), "method 'tvl2' needs mu > 0"),
+], ids=["mu-not-tvl2", "beta-not-el", "mu-no-alpha", "beta-no-alpha",
+        "tvl2-no-mu"])
+def test_sweep_parameter_mismatch_is_one_error_line(flags, message,
+                                                    ct_dataset, tmp_path,
+                                                    capsys):
+    assert _run("sweep", "--dataset", ct_dataset, *flags, "--outer-iters", 2,
+                "--sweep-points", 2, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def test_sweep_default_grids_are_centred_where_report_sweeps(ct_dataset,
+                                                             tmp_path):
+    ds = load_dataset(ct_dataset)
+    A = build_projector(ds.recon_projector)
+    cases = [
+        (("--method", "tvl2", "--param", "alpha", "--mu", 1e-6),
+         alpha_scale_heuristic(A, ds, "tvl2", mu=1e-6)),
+        (("--method", "tvl2", "--param", "mu", "--alpha", 1e-3),
+         mu_scale_heuristic(A, ds)),
+        (("--method", "el", "--param", "beta", "--alpha", 1e-6,
+          "--beta", 0.05), 0.05),
+    ]
+    for i, (flags, center) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert _run("sweep", "--dataset", ct_dataset, *flags,
+                    "--outer-iters", 2, "--sweep-points", 3,
+                    "--sweep-decades", 2, "--out", out) == 0
+        rows = next(out.glob("sweep_*.csv")).read_text().splitlines()[1:]
+        # a 3-point grid's middle value is its centre
+        assert float(rows[1].split(",")[0]) == center
+
+
 def test_full_ct_pipeline_table_has_four_methods(tmp_path):
     data = tmp_path / "data"
     assert _run("simulate", "--experiment", "ct", "--fine-n", 64,
@@ -240,7 +286,6 @@ def test_report_bytes_do_not_depend_on_thread_count(simulate, report,
 
     from eltomo import projector
 
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     trees = []
     root = tmp_path / "run"
     for threads in (1, 2):

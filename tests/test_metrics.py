@@ -147,7 +147,7 @@ def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", counting)
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
+    monkeypatch.setattr(projector, "THREADS", 1)
     run_comparison(ds, outer_iters=3, inner_iters=2, sweep_points=2, A=A)
     # each of the three sweeps' two points once and the baseline once, in
     # queue order: tvl2 goes to the head as the last tv run finishes
@@ -207,7 +207,6 @@ def _on_worker() -> bool:
 def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
                                                 bounded):
     ds, A = small_et
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     spec = SweepSpec(method="el", param="alpha", fidelity="poisson",
                      values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
                      outer_iters=3, inner_iters=2)
@@ -244,7 +243,6 @@ def test_value_error_in_a_worker_run_leaves_the_sweep(small_ct, monkeypatch,
                                                       bounded):
     ds, A = small_ct
     monkeypatch.setattr(projector, "THREADS", 2)
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     original = metrics.run_method
 
     def worker_fails(*args, **kwargs):
@@ -265,7 +263,6 @@ def test_sweep_on_a_split_operator_completes(small_ct, monkeypatch, bounded):
     ds, whole = small_ct
     monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
     monkeypatch.setattr(projector, "THREADS", 2)
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     A = projector.build_projector(ds.recon_projector)
     assert len(A.blocks) == 2
     spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
@@ -276,32 +273,11 @@ def test_sweep_on_a_split_operator_completes(small_ct, monkeypatch, bounded):
                     rtol=1e-9)
 
 
-def test_runs_stay_on_the_calling_thread_unless_blas_keeps_to_one(
-        small_ct, monkeypatch):
-    ds, A = small_ct
-    monkeypatch.setattr(projector, "THREADS", 2)
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
-    original = metrics.run_method
-    where = set()
-
-    def recorded(*args, **kwargs):
-        where.add(_on_worker())
-        time.sleep(0.01)  # would leave the worker time to take runs
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "run_method", recorded)
-    spec = SweepSpec(method="tv", param="alpha", values=(1e-7, 1e-6, 1e-5),
-                     outer_iters=2, inner_iters=2)
-    run_sweep(spec, ds, A=A)
-    assert where == {False}
-
-
 # --- one queue per comparison --------------------------------------------
 
 @pytest.fixture()
 def two_threads(monkeypatch):
     monkeypatch.setattr(projector, "THREADS", 2)
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
 
 
 def _comparison(ds, A, bounded):
@@ -323,7 +299,7 @@ def test_concurrent_comparison_matches_serial(small_et, two_threads,
     monkeypatch.setattr(metrics, "run_method", recorded)
     concurrent = _comparison(ds, A, bounded)
     assert where == {False, True}
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", False)
+    monkeypatch.setattr(projector, "THREADS", 1)
     where.clear()
     serial = _comparison(ds, A, bounded)
     assert where == {False}
@@ -424,26 +400,6 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
         _comparison(ds, A, bounded)
     assert started.count("tv") == 4
     assert "tvl2" not in started
-
-
-@pytest.mark.parametrize("env,one", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "2"}, False),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
-])
-def test_one_blas_thread_reads_the_environment_as_openblas(env, one,
-                                                           monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert metrics._one_blas_thread() is one
 
 
 def test_emit_report_single_method(tmp_path, small_ct):

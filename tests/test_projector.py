@@ -454,16 +454,6 @@ def test_a_raising_follow_up_hook_stops_the_queue(threads, monkeypatch,
     assert started == [0]
 
 
-def test_serial_map_stays_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(projector, "THREADS", 2)
-
-    def job(i):
-        time.sleep(0.01)  # would leave the worker time to take items
-        return _on_worker()
-
-    assert projector.map_ordered(job, range(4), serial=True) == [False] * 4
-
-
 def test_map_ordered_on_the_pool_worker_runs_there(monkeypatch, bounded):
     monkeypatch.setattr(projector, "THREADS", 2)
     pool = projector._POOL

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,14 +105,25 @@ def test_first_outer_step_matches_dense_solve(kind, alpha):
     assert rel <= 1e-6
 
 
-def test_frozen_objective_nonincreasing_across_inner_cg(small_ct):
+def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
+                                                        monkeypatch):
     ds, A = small_ct
     alpha = 1e-7
-    inner = []
+    calls = []
+    original = solvers._cg
+
+    def recorded(apply_h, rhs, max_iters, rho, apply_m=None):
+        s, iters = original(apply_h, rhs, max_iters, rho, apply_m=apply_m)
+        calls.append((apply_h, rhs, max_iters, rho, s))
+        return s, iters
+
+    monkeypatch.setattr(solvers, "_cg", recorded)
     cfg = SolverConfig(outer_iters=3, inner_iters=5, rho=1e-20, alpha=alpha)
-    fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg, inner_history=inner)
+    fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg)
+    assert len(calls) == 3
     bv = ds.noisy[0].ravel()
-    for u_start, _grad, steps in inner:
+    u_start = np.zeros(A.ncols)
+    for apply_h, rhs, max_iters, rho, step in calls:
         # objective with the penalty matrix frozen at the outer iterate
         R = build_gradient_matrix(tv(), Image(A.spec.grid, u_start),
                                   alpha=alpha).matrix
@@ -118,12 +133,17 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct):
             v = u_start + s
             return 0.5 * float(r @ r) + 0.5 * alpha * float(v @ (R @ v))
 
+        # CG stopped after k steps gives the k-th inner iterate
+        steps = [original(apply_h, rhs, k, rho)[0]
+                 for k in range(1, max_iters + 1)]
+        assert steps[-1].tobytes() == step.tobytes()
         prev = None
         for s in steps:
             q = frozen_objective(s)
             if prev is not None:
                 assert q <= prev * (1 + 1e-10)
             prev = q
+        u_start = u_start + step
 
 
 def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
@@ -349,7 +369,6 @@ def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
     ds, _ = small_ct
     A = build_projector(ds.recon_projector)  # an operator not seen before
     monkeypatch.setattr(projector, "THREADS", 2)  # points run concurrently
-    monkeypatch.setattr(metrics, "CONCURRENT_RUNS", True)
     calls, threads = [], set()
     original = solvers.power_iteration
     run_method = metrics.run_method
@@ -371,3 +390,42 @@ def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
     assert len(threads) == 2
     assert calls == [A.ncols]
     assert solvers._operator_sigma(A) == estimate_sigma(A)
+
+
+# Three solvers on a 112^2 image, printing digests of their images and
+# histories. OpenBLAS threads a dot product only above 10,000 elements.
+_SOLVER_DIGESTS = """
+import hashlib
+from eltomo import (EtSimSpec, GridSpec, SolverConfig, cgls, el,
+                    fixed_point_reconstruct, make_et_dataset,
+                    mlem_split_reconstruct)
+from eltomo.projector import build_projector
+from eltomo.solvers import history_csv
+ds = make_et_dataset(EtSimSpec(grid=GridSpec(112, 112), n_angles=30,
+                               n_realizations=1, seed=5))
+A = build_projector(ds.recon_projector)
+b, truth = ds.noisy[0], ds.ground_truth
+mlem = SolverConfig(outer_iters=5, alpha=1e-3)
+fixed = SolverConfig(outer_iters=3, alpha=1e-3, precondition=True)
+for res in (cgls(A, b, 10, ground_truth=truth),
+            mlem_split_reconstruct(A, b, el(), mlem, ground_truth=truth),
+            fixed_point_reconstruct(A, b, el(), fixed, ground_truth=truth)):
+    print(hashlib.sha256(res.image.values.tobytes()).hexdigest(),
+          hashlib.sha256(history_csv(res).encode()).hexdigest())
+"""
+
+
+def test_solver_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _SOLVER_DIGESTS],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
