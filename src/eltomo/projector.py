@@ -210,10 +210,6 @@ class ProjectorSpec:
     def n_angles(self) -> int:
         return self.angles.size
 
-    @property
-    def nrays(self) -> int:
-        return self.n_angles * self.nbins
-
     def bin_centers(self) -> np.ndarray:
         """Signed detector offsets from the rotation center."""
         return (np.arange(self.nbins) - (self.nbins - 1) / 2.0) * self.bin_pitch

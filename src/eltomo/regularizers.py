@@ -91,10 +91,14 @@ class ElWeights:
 
 @dataclass(frozen=True)
 class RegularizerMatrix:
-    """Symmetric positive-semidefinite map on flattened images."""
+    """Symmetric positive-semidefinite map on flattened images, with the
+    stencil names and frozen diagonals of its form sum_t D_t' diag(w_t)
+    D_t (both empty for the identity)."""
 
     matrix: sp.csr_matrix
     kind: Penalty
+    stencils: tuple[str, ...] = ()
+    weights: tuple[np.ndarray, ...] = ()
 
 
 # --- difference stencils ------------------------------------------------
@@ -300,7 +304,7 @@ def build_gradient_matrix(kind: Penalty, u: Image,
     if kind.kind == "tv":
         eps = _EPS_REL * _amplitude(u.values)
         phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
-        m = _assemble(g, ("dx", "dy"), (phi, phi))
+        names, weights = ("dx", "dy"), (phi, phi)
     elif kind.kind == "tvl2":
         if alpha is None:
             raise ValueError("tvl2 gradient matrix requires alpha")
@@ -310,11 +314,12 @@ def build_gradient_matrix(kind: Penalty, u: Image,
         mag2 = _grad_mag2(u)
         psi = alpha / np.sqrt(mag2 + eps ** 2)
         ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
-        m = _assemble(g, ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups))
+        names, weights = ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups)
     else:  # el
         w = compute_el_weights(u, kind.beta)
-        m = _assemble(g, ("lx", "ly"), (w.wx ** 2, w.wy ** 2))
-    return RegularizerMatrix(m, kind)
+        names, weights = ("lx", "ly"), (w.wx ** 2, w.wy ** 2)
+    return RegularizerMatrix(_assemble(g, names, weights), kind, names,
+                             weights)
 
 
 def penalty_value(kind: Penalty, u: Image,

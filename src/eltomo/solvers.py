@@ -2,22 +2,28 @@
 
 * cgls: conjugate-gradient least squares baseline (no penalty).
 * fixed_point_reconstruct: outer fixed-point iterations that freeze the
-  penalty diagonals, solve the resulting quadratic step equation
-  (A'A + a R) s = -g by (optionally preconditioned) CG, and re-freeze.
+  penalty diagonals, take inner_iters (optionally preconditioned) CG
+  steps on the quadratic step equation (A'A + a R) s = -g, and re-freeze.
+  Inner CG stops early only on breakdown; rho bounds |s|^2 of the outer
+  step, which ends the run.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   followed by a few explicit denoising steps against the frozen penalty
   matrix. Each iterate is forward-projected once: the projection that
-  gives its fidelity also feeds the next EM update.
+  gives its fidelity also feeds the next EM update. rho bounds the
+  squared change of the iterate, which ends the run.
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
-The optional preconditioner of the fixed-point solver is an exact
-sparse factorization of sigma^2 I + a R, redone at every outer
-iteration. The matrix is SPD, so SuperLU runs in symmetric mode: no
-pivoting, on a minimum-degree ordering of A' + A (Liu, ACM TOMS 11(2),
-1985), which fills in less than a column ordering with partial pivoting.
+The optional preconditioner of the fixed-point solver approximates
+H = sigma^2 I + a R, R = sum_t D_t' diag(w_t) D_t, by M^-1 = S C^-1 S.
+C = sigma^2 I + sum_t a median(w_t) D_t'D_t has constant coefficients,
+and the 2-D DCT-II diagonalizes each Neumann stencil product D_t'D_t
+(Strang, SIAM Review 41(1), 1999), so one dctn/idctn pair inverts it
+exactly. S = diag(sqrt(diag(C) / diag(H))) corrects for the varying
+coefficients, as in cosine-transform preconditioners for TV (Chan, Chan
+& Wong, IEEE TIP 8(10), 1999). With constant diagonals M^-1 = H^-1.
 sigma, the largest singular value of the projector, is computed once
-per operator.
+per operator; the stencils' eigenvalues and diagonals once per grid.
 
 Every solver is a deterministic function of its inputs. Both power
 iterations start at the all-ones vector: the one for the ML-EM
@@ -34,16 +40,17 @@ verify_error_bound, a dense desk-scale diagnostic, uses LAPACK.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grids import Image, Sinogram
+from .grids import GridSpec, Image, Sinogram
 from .projector import SparseOperator
 from .regularizers import Penalty, RegularizerMatrix, build_gradient_matrix, penalty_value
 
@@ -215,17 +222,17 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
 
 # --- inner CG ------------------------------------------------------------
 
-def _cg(apply_h, rhs: np.ndarray, max_iters: int, rho: float,
+def _cg(apply_h, rhs: np.ndarray, max_iters: int,
         apply_m=None) -> tuple[np.ndarray, int]:
-    """CG on the SPD system H s = rhs; stops after max_iters steps or
-    when the squared step update drops to rho."""
+    """max_iters CG steps on the SPD system H s = rhs from s = 0; fewer
+    only on breakdown (p'Hp <= 0, as at once for a zero rhs)."""
     s = np.zeros_like(rhs)
     r = rhs.copy()
     z = apply_m(r) if apply_m is not None else r
     p = z.copy()
     rz = dot(r, z)
     iters = 0
-    for _ in range(max_iters):
+    while iters < max_iters:
         hp = apply_h(p)
         php = dot(p, hp)
         if php <= 0.0:
@@ -233,8 +240,8 @@ def _cg(apply_h, rhs: np.ndarray, max_iters: int, rho: float,
         a = rz / php
         s += a * p
         iters += 1
-        if a * a * dot(p, p) <= rho:
-            break
+        if iters == max_iters:
+            break  # the next residual would not be read
         r -= a * hp
         z = apply_m(r) if apply_m is not None else r
         rz_new = dot(r, z)
@@ -251,15 +258,52 @@ def _effective_alpha(kind: Penalty | None, alpha: float) -> float:
     return alpha
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil_spectrum(grid: GridSpec, name: str):
+    """DCT-II eigenvalues and diagonal of D'D for the stencil D `name`
+    (dx, dy, lx or ly of regularizers), shaped to broadcast over
+    (ny, nx) images.
+
+    Along its axis, dx'dx is the Neumann Laplacian T, with eigenvalues
+    4 sin^2(pi k / 2n) / h^2 and diagonal d = (1, 2, ..., 2, 1) / h^2.
+    The second difference is -T, so lx'lx = T^2: its eigenvalues are
+    squared, and row i of T holds d_i h^2 off-diagonal entries -1/h^2,
+    so its diagonal is d^2 + d / h^2.
+    """
+    along_x = name in ("dx", "lx")
+    n, h = (grid.nx, grid.hx) if along_x else (grid.ny, grid.hy)
+    lam = (2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h) ** 2
+    diag = np.full(n, 2.0 / h ** 2)
+    diag[[0, -1]] = 1.0 / h ** 2
+    if name in ("lx", "ly"):
+        lam, diag = lam ** 2, diag ** 2 + diag / h ** 2
+    shape = (1, n) if along_x else (n, 1)
+    lam, diag = lam.reshape(shape), diag.reshape(shape)
+    lam.flags.writeable = diag.flags.writeable = False
+    return lam, diag
+
+
 def _factorized_preconditioner(R: RegularizerMatrix, alpha_eff: float,
-                               sigma: float):
-    """Exact solve with sigma^2 I + alpha_eff R, which is SPD (sigma > 0,
-    R PSD), so SuperLU needs no pivoting."""
-    n = R.matrix.shape[0]
-    h = (sigma ** 2) * sp.identity(n, format="csc") + alpha_eff * R.matrix
-    lu = spla.splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    return lu.solve
+                               sigma: float, grid: GridSpec):
+    """v -> S C^-1 S v, an SPD approximation of (sigma^2 I + alpha_eff
+    R)^-1 (see the module docstring). The orthonormal DCT Q factorizes
+    C = Q' diag(eig) Q, so C^-1 is one dctn/idctn pair."""
+    shape = (grid.ny, grid.nx)
+    eig = np.full(shape, sigma ** 2)  # of C
+    diag_c = np.full(shape, sigma ** 2)
+    for name, w in zip(R.stencils, R.weights):
+        lam, diag = _stencil_spectrum(grid, name)
+        coef = alpha_eff * float(np.median(w))
+        eig += coef * lam
+        diag_c += coef * diag
+    diag_h = sigma ** 2 + alpha_eff * R.matrix.diagonal().reshape(shape)
+    scale = np.sqrt(diag_c / diag_h)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        x = scipy.fft.dctn(scale * v.reshape(shape), norm="ortho")
+        x = scipy.fft.idctn(x / eig, norm="ortho", overwrite_x=True)
+        return (scale * x).ravel()
+    return solve
 
 
 # --- fixed-point solver (least-squares fidelity) --------------------------
@@ -284,7 +328,6 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
     history: list[HistoryRecord] = []
     terminated = False
     for nu in range(cfg.outer_iters):
-        # free the previous LU factor before the next one is built
         apply_m = None
         if regularized:
             R = build_gradient_matrix(kind, Image(A.spec.grid, u), alpha)
@@ -295,14 +338,15 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
                 return A.apply_adjoint(A.apply(v)) + _a * (_r @ v)
 
             if cfg.precondition:
-                apply_m = _factorized_preconditioner(R, a_eff, sigma)
+                apply_m = _factorized_preconditioner(R, a_eff, sigma,
+                                                     A.spec.grid)
         else:
             grad = A.apply_adjoint(au - bv)
 
             def apply_h(v):
                 return A.apply_adjoint(A.apply(v))
 
-        s, _ = _cg(apply_h, -grad, cfg.inner_iters, cfg.rho, apply_m=apply_m)
+        s, _ = _cg(apply_h, -grad, cfg.inner_iters, apply_m=apply_m)
         u = u + s
         _check_finite(u, "fixed_point_reconstruct")
         au = A.apply(u)

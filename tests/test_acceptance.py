@@ -15,12 +15,14 @@ from eltomo import (CtSimSpec, EtSimSpec, GridSpec, SolverConfig, cgls,
                     verify_error_bound)
 from eltomo.cli import adjoint_suite, gradient_suite, run
 from eltomo.metrics import run_comparison, run_method
-from eltomo.projector import ProjectorSpec, build_projector, default_detector, forward
+from eltomo.projector import (ProjectorSpec, build_projector, default_detector,
+                              forward, map_ordered)
 from eltomo.regularizers import build_gradient_matrix, el, tikhonov, tv, tv_l2
 from eltomo.solvers import fixed_point_reconstruct
 from eltomo.grids import Image, uniform_angles
 
 CT_SEEDS = (0, 1, 2, 3, 4)
+CT_METHODS = ("cgls", "tv", "tvl2", "el")
 CT_NBINS = 50  # detector kept under-sampled, as in the full-size protocol
 
 
@@ -46,22 +48,27 @@ def ct_protocol():
                              precondition=True, beta=0.03)
     best = {rep.method: rep.best_param for rep in reports}
 
+    datasets = map_ordered(make_ct_dataset, [_ct_spec(s) for s in CT_SEEDS])
+    operators = [build_projector(ds.recon_projector) for ds in datasets]
+
+    def evaluate(item):
+        k, method = item
+        ds, A = datasets[k], operators[k]
+        if method == "cgls":
+            return cgls(A, ds.noisy[0], 40, ground_truth=ds.ground_truth)
+        alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
+        mu = best["tvl2"] if method == "tvl2" else 0.0
+        cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4,
+                           alpha=alpha, precondition=True)
+        return run_method(A, ds, method, "ls", cfg, mu=mu)
+
+    items = [(k, m) for k in range(len(CT_SEEDS)) for m in CT_METHODS]
+    runs = dict(zip(items, map_ordered(evaluate, items)))
     per_seed = []
-    for seed in CT_SEEDS:
-        ds = make_ct_dataset(_ct_spec(seed))
-        A = build_projector(ds.recon_projector)
-        vals = {}
-        results = {}
-        results["cgls"] = cgls(A, ds.noisy[0], 40,
-                               ground_truth=ds.ground_truth)
-        vals["cgls"] = rmse(results["cgls"].image, ds.ground_truth)
-        for method in ("tv", "tvl2", "el"):
-            alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
-            mu = best["tvl2"] if method == "tvl2" else 0.0
-            cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4,
-                               alpha=alpha, precondition=True)
-            results[method] = run_method(A, ds, method, "ls", cfg, mu=mu)
-            vals[method] = rmse(results[method].image, ds.ground_truth)
+    for k, ds in enumerate(datasets):
+        results = {m: runs[k, m] for m in CT_METHODS}
+        vals = {m: rmse(res.image, ds.ground_truth)
+                for m, res in results.items()}
         per_seed.append((vals, results))
     return {"reports": reports, "best": best, "per_seed": per_seed,
             "elapsed": time.time() - t0}

@@ -112,9 +112,9 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
     calls = []
     original = solvers._cg
 
-    def recorded(apply_h, rhs, max_iters, rho, apply_m=None):
-        s, iters = original(apply_h, rhs, max_iters, rho, apply_m=apply_m)
-        calls.append((apply_h, rhs, max_iters, rho, s))
+    def recorded(apply_h, rhs, max_iters, apply_m=None):
+        s, iters = original(apply_h, rhs, max_iters, apply_m=apply_m)
+        calls.append((apply_h, rhs, max_iters, s))
         return s, iters
 
     monkeypatch.setattr(solvers, "_cg", recorded)
@@ -123,7 +123,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
     assert len(calls) == 3
     bv = ds.noisy[0].ravel()
     u_start = np.zeros(A.ncols)
-    for apply_h, rhs, max_iters, rho, step in calls:
+    for apply_h, rhs, max_iters, step in calls:
         # objective with the penalty matrix frozen at the outer iterate
         R = build_gradient_matrix(tv(), Image(A.spec.grid, u_start),
                                   alpha=alpha).matrix
@@ -134,7 +134,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
             return 0.5 * float(r @ r) + 0.5 * alpha * float(v @ (R @ v))
 
         # CG stopped after k steps gives the k-th inner iterate
-        steps = [original(apply_h, rhs, k, rho)[0]
+        steps = [original(apply_h, rhs, k)[0]
                  for k in range(1, max_iters + 1)]
         assert steps[-1].tobytes() == step.tobytes()
         prev = None
@@ -348,20 +348,56 @@ def test_config_rejects_bad_alpha(alpha):
         SolverConfig(alpha=alpha)
 
 
-@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
-                         ids=lambda k: k.kind)
-def test_factorized_preconditioner_is_exact(kind, rng):
-    img = Image(GridSpec(32, 32), rng.random((32, 32)))
+_KINDS = [tikhonov(), tv(), tv_l2(mu=0.5), el()]
+_GRIDS = [GridSpec(32, 32), GridSpec(12, 7, dx=1.0, dy=1.5)]  # hx != hy
+
+
+def _preconditioner(kind, grid, values):
+    """(M^-1, H) for H = sigma^2 I + a R(values), with the penalty term
+    1e3 times stiffer than the identity part, as in the solves the
+    preconditioner is there for."""
     alpha = 1e-3
-    R = build_gradient_matrix(kind, img, alpha=alpha)
+    R = build_gradient_matrix(kind, Image(grid, values), alpha=alpha)
     a_eff = _effective_alpha(kind, alpha)
-    # the penalty term 1e3 times stiffer than the identity part, as in
-    # the solves the preconditioner is there for
     sigma = np.sqrt(a_eff * penalty_eigenvalue(R.matrix) / 1e3)
-    h = sigma ** 2 * sp.identity(R.matrix.shape[0]) + a_eff * R.matrix
-    v = rng.standard_normal(R.matrix.shape[0])
-    got = _factorized_preconditioner(R, a_eff, sigma)(h @ v)
-    assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
+    h = sigma ** 2 * sp.identity(grid.npixels) + a_eff * R.matrix
+    return _factorized_preconditioner(R, a_eff, sigma, grid), h
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.kind)
+def test_preconditioner_is_exact_for_constant_diagonals(kind, grid, rng):
+    # at the zero iterate every diagonal is constant
+    solve, h = _preconditioner(kind, grid, np.zeros((grid.ny, grid.nx)))
+    v = rng.standard_normal(grid.npixels)
+    assert np.linalg.norm(solve(h @ v) - v) <= 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.kind)
+def test_preconditioner_is_symmetric_positive_definite(kind, rng):
+    grid = _GRIDS[1]
+    solve, _ = _preconditioner(kind, grid, rng.random((grid.ny, grid.nx)))
+    m = np.column_stack([solve(e) for e in np.eye(grid.npixels)])
+    assert_allclose(m, m.T, rtol=0, atol=1e-12 * np.abs(m).max())
+    assert np.linalg.eigvalsh(m).min() > 0.0
+
+
+def test_cg_takes_max_iters_steps(rng):
+    b = rng.standard_normal((40, 40))
+    h = b @ b.T + np.eye(40)
+    rhs = rng.standard_normal(40)
+    for apply_m in (None, lambda r: r / np.diag(h)):
+        for k in (1, 7, 25):
+            s, iters = solvers._cg(lambda v: h @ v, rhs, k, apply_m=apply_m)
+            assert iters == k
+            assert np.all(np.isfinite(s))
+
+
+def test_cg_zero_rhs_gives_zero_step():
+    h = np.diag(np.arange(1.0, 11.0))
+    s, iters = solvers._cg(lambda v: h @ v, np.zeros(10), 5)
+    assert iters == 0
+    assert not s.any()
 
 
 def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
