@@ -26,9 +26,13 @@ sigma, the largest singular value of the projector, is computed once
 per operator; the stencils' eigenvalues and diagonals once per grid.
 
 Every solver is a deterministic function of its inputs. Both power
-iterations start at the all-ones vector: the one for the ML-EM
-denoising step size runs on |R|, the one for the preconditioner's sigma
-on A'A. Only verify_error_bound draws random numbers, from its own seed.
+iterations start at the all-ones vector. The preconditioner's sigma
+reads the Rayleigh quotient of 50 steps on A'A, a lower bound on
+sigma^2. ML-EM's denoising step tau = 1 / (1 + a lambda) reads the
+Collatz-Wielandt bound of 4 steps on |R|, an upper bound on lambda, the
+largest eigenvalue of R, that is at most the Gershgorin bound; so
+tau (1 + a lambda(R)) <= 1 and each denoising step is non-expansive.
+Only verify_error_bound draws random numbers, from its own seed.
 
 Every dot product and norm of the solvers, and of the error metrics,
 goes through ``dot``, which sums in numpy's own fixed order instead of
@@ -127,33 +131,36 @@ def _check_finite(u: np.ndarray, where: str) -> None:
         raise NumericalError(f"non-finite iterate in {where}")
 
 
-def power_iteration(apply_op, n: int, iters: int) -> float:
-    """Largest eigenvalue of a symmetric PSD operator, from ``iters``
-    (at least 1) applications started at the all-ones vector.
+def power_iteration(apply_op, n: int,
+                    iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last pair (v, w = op v) of ``iters`` (at least 1) power steps
+    started at the all-ones vector, v normalized to unit length.
 
     The operator must be entrywise nonnegative (such as A'A for a
-    nonnegative A, or |R| for a penalty matrix R): its top eigenvector
-    is then nonnegative and cannot be orthogonal to the start. R itself
-    does not qualify: it annihilates the ones vector.
+    nonnegative A, or |R| for a penalty matrix R): its Perron vector is
+    then nonnegative and cannot be orthogonal to the start. R itself
+    does not qualify: it annihilates the ones vector. Callers read
+    dot(v, w), the Rayleigh quotient, a lower bound on the largest
+    eigenvalue of a symmetric operator, or max(w / v), an upper bound
+    while v stays positive (see penalty_eigenvalue).
     """
     v = np.full(n, 1.0 / np.sqrt(n))
     w = apply_op(v)
     for _ in range(iters - 1):
         scale = norm(w)
         if scale == 0.0:
-            return 0.0
+            break
         v = w / scale
         w = apply_op(v)
-    # only the last step's Rayleigh quotient is read
-    return dot(v, w)
+    return v, w
 
 
 def estimate_sigma(A: SparseOperator, iters: int = 50) -> float:
-    """Largest singular value of A via power iteration on A'A (A is
-    entrywise nonnegative, PSF included)."""
-    lam = power_iteration(lambda v: A.apply_adjoint(A.apply(v)),
-                          A.ncols, iters)
-    return float(np.sqrt(max(lam, 0.0)))
+    """Largest singular value of A, from the Rayleigh quotient of a power
+    iteration on A'A (A is entrywise nonnegative, PSF included)."""
+    v, w = power_iteration(lambda x: A.apply_adjoint(A.apply(x)),
+                           A.ncols, iters)
+    return float(np.sqrt(max(dot(v, w), 0.0)))
 
 
 # sigma depends only on the operator, which is not modified after
@@ -172,13 +179,22 @@ def _operator_sigma(A: SparseOperator) -> float:
     return sigma
 
 
-def penalty_eigenvalue(m: sp.csr_matrix) -> float:
-    """Largest eigenvalue of a penalty matrix m, by power iteration on
-    |m|. For the tv, tvl2 and el stencils |m| is m with the sign of
-    every other pixel flipped in a checkerboard (D m D, D = diag(+-1)),
-    so the two share their spectrum."""
+def penalty_eigenvalue(m: sp.csr_matrix, iters: int = 4) -> float:
+    """A guaranteed upper bound on the largest eigenvalue of a penalty
+    matrix m: the Collatz-Wielandt bound max_i (|m| v)_i / v_i at the
+    last vector v of ``iters`` power steps on |m| (Horn & Johnson,
+    Matrix Analysis, 2nd ed., Thm 8.1.26).
+
+    For every positive v that maximum bounds the spectral radius of the
+    nonnegative |m| from above, and each further power step can only
+    lower it. After one step from the ones vector it is the Gershgorin
+    bound max_i sum_j |m_ij| (ibid., 6.1). |m| has a positive diagonal,
+    so v stays positive. For the tv, tvl2 and el stencils |m| is m with
+    the sign of every other pixel flipped in a checkerboard (D m D,
+    D = diag(+-1)), so the two share their spectrum."""
     absm = abs(m)
-    return power_iteration(lambda v: absm @ v, m.shape[0], 30)
+    v, w = power_iteration(lambda x: absm @ x, m.shape[0], iters)
+    return float(np.max(w / v))
 
 
 # --- CGLS ----------------------------------------------------------------

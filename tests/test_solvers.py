@@ -12,10 +12,10 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 
-from eltomo import (GridSpec, Image, Sinogram, SolverConfig, cgls, el,
-                    fixed_point_reconstruct, mlem_split_reconstruct,
-                    tikhonov, tv, tv_l2, uniform_angles,
-                    verify_error_bound)
+from eltomo import (EtSimSpec, GridSpec, Image, Sinogram, SolverConfig,
+                    cgls, el, fixed_point_reconstruct, make_et_dataset,
+                    mlem_split_reconstruct, tikhonov, tv, tv_l2,
+                    uniform_angles, verify_error_bound)
 from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
 from eltomo import metrics, projector, solvers
@@ -315,23 +315,87 @@ def test_non_finite_data_aborts():
         fixed_point_reconstruct(A, b, None, cfg)
 
 
-@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
-                         ids=lambda k: k.kind)
-def test_penalty_eigenvalue_matches_largest_eigenvalue(kind, rng):
+def _top_eigenvalue(m):
+    return float(spla.eigsh(m, k=1, which="LA", return_eigenvectors=False)[0])
+
+
+def _noisy_penalty(kind, rng):
+    """R of a smooth-plus-noise 32^2 image."""
     grid = GridSpec(32, 32)
     img = Image(grid, gaussian_filter(rng.standard_normal((32, 32)), 1.0)
                 + 0.3 * rng.standard_normal((32, 32)) + 1.0)
-    R = build_gradient_matrix(kind, img, alpha=1.0).matrix
+    return build_gradient_matrix(kind, img, alpha=1.0).matrix
 
-    def top(m):
-        return float(spla.eigsh(m, k=1, which="LA",
-                                return_eigenvectors=False)[0])
 
-    lam = top(R)
+@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
+                         ids=lambda k: k.kind)
+def test_penalty_eigenvalue_matches_largest_eigenvalue(kind, rng):
+    R = _noisy_penalty(kind, rng)
+    lam = _top_eigenvalue(R)
     # |R| is R under a checkerboard sign flip, so the spectra agree
-    assert_allclose(top(abs(R)), lam, rtol=1e-9)
-    # a Rayleigh quotient never exceeds the largest eigenvalue
-    assert 0.97 * lam <= penalty_eigenvalue(R) <= lam * (1 + 1e-12)
+    assert_allclose(_top_eigenvalue(abs(R)), lam, rtol=1e-9)
+    # an upper bound, and a close one after its 4 steps
+    assert lam * (1 - 1e-9) <= penalty_eigenvalue(R) <= 1.10 * lam
+
+
+_BOUND_KINDS = [el(), tv(), tv_l2(mu=0.5), tikhonov()]
+
+
+@pytest.mark.parametrize("kind", _BOUND_KINDS, ids=lambda k: k.kind)
+def test_penalty_eigenvalue_one_step_is_gershgorin(kind, rng):
+    R = _noisy_penalty(kind, rng)
+    # each row's absolute sum, added in index order as a CSR product
+    # adds it; the start vector's entries are 1/32, a power of two, so
+    # scaling by them rounds nothing and the two agree exactly
+    sums = []
+    for i in range(R.shape[0]):
+        total = 0.0
+        for x in R.data[R.indptr[i]:R.indptr[i + 1]]:
+            total += abs(float(x))
+        sums.append(total)
+    assert penalty_eigenvalue(R, iters=1) == max(sums)
+    if kind.kind == "tikhonov":
+        assert penalty_eigenvalue(R) == 1.0
+
+
+@pytest.mark.parametrize("kind", _BOUND_KINDS, ids=lambda k: k.kind)
+def test_penalty_eigenvalue_tightens_and_stays_above(kind, rng):
+    R = _noisy_penalty(kind, rng)
+    lam = _top_eigenvalue(R)
+    bounds = [penalty_eigenvalue(R, iters=k) for k in (1, 2, 4, 8)]
+    for looser, tighter in zip(bounds, bounds[1:]):
+        assert tighter <= looser * (1 + 1e-12)  # up to rounding
+    assert min(bounds) >= lam * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("method", ["el", "tv", "tvl2"])
+def test_mlem_denoising_step_is_non_expansive(method, monkeypatch):
+    # the step f -> f - tau ((f - f0) + a R f) has the linear part
+    # I - tau (I + a R), whose eigenvalues lie in [0, 1) exactly when
+    # tau (1 + a lambda_max(R)) <= 1; R is checked at the ML-EM iterates
+    # of an emission run at the protocol's sweep center
+    ds = make_et_dataset(EtSimSpec(grid=GridSpec(32, 32), n_angles=16,
+                                   total_counts=2e5, n_realizations=1,
+                                   seed=3))
+    A = build_projector(ds.recon_projector)
+    mu = metrics.mu_scale_heuristic(A, ds) if method == "tvl2" else 0.0
+    alpha = metrics.alpha_scale_heuristic(A, ds, method, mu=mu)
+    seen = []
+
+    def recorded(m, *args, **kwargs):
+        bound = penalty_eigenvalue(m, *args, **kwargs)
+        seen.append((m, bound))
+        return bound
+
+    monkeypatch.setattr(solvers, "penalty_eigenvalue", recorded)
+    cfg = SolverConfig(outer_iters=6, inner_iters=5, rho=1e-30, alpha=alpha)
+    kind = metrics.make_penalty(method, mu=mu)
+    mlem_split_reconstruct(A, ds.noisy[0], kind, cfg)
+    assert len(seen) == cfg.outer_iters
+    a_eff = _effective_alpha(kind, alpha)
+    for R, bound in seen:
+        tau = 1.0 / (1.0 + a_eff * bound)
+        assert tau * (1.0 + a_eff * _top_eigenvalue(R)) <= 1.0
 
 
 @pytest.mark.parametrize("fwhm", [None, 3.0])
