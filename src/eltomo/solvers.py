@@ -30,8 +30,9 @@ iterations start at the all-ones vector. The preconditioner's sigma
 reads the Rayleigh quotient of 50 steps on A'A, a lower bound on
 sigma^2. ML-EM's denoising step tau = 1 / (1 + a lambda) reads the
 Collatz-Wielandt bound of 4 steps on |R|, an upper bound on lambda, the
-largest eigenvalue of R, that is at most the Gershgorin bound; so
-tau (1 + a lambda(R)) <= 1 and each denoising step is non-expansive.
+largest eigenvalue of R, that is at most the Gershgorin bound. So tau
+never exceeds 1 / (1 + a lambda(R)), and the linear part
+I - tau (I + a R) of a denoising step has eigenvalues in [0, 1).
 Only verify_error_bound draws random numbers, from its own seed.
 
 Every dot product and norm of the solvers, and of the error metrics,
@@ -179,10 +180,14 @@ def _operator_sigma(A: SparseOperator) -> float:
     return sigma
 
 
-def penalty_eigenvalue(m: sp.csr_matrix, iters: int = 4) -> float:
+# power steps behind penalty_eigenvalue's bound
+_BOUND_STEPS = 4
+
+
+def penalty_eigenvalue(m: sp.csr_matrix) -> float:
     """A guaranteed upper bound on the largest eigenvalue of a penalty
     matrix m: the Collatz-Wielandt bound max_i (|m| v)_i / v_i at the
-    last vector v of ``iters`` power steps on |m| (Horn & Johnson,
+    last vector v of _BOUND_STEPS power steps on |m| (Horn & Johnson,
     Matrix Analysis, 2nd ed., Thm 8.1.26).
 
     For every positive v that maximum bounds the spectral radius of the
@@ -193,7 +198,7 @@ def penalty_eigenvalue(m: sp.csr_matrix, iters: int = 4) -> float:
     the sign of every other pixel flipped in a checkerboard (D m D,
     D = diag(+-1)), so the two share their spectrum."""
     absm = abs(m)
-    v, w = power_iteration(lambda x: absm @ x, m.shape[0], iters)
+    v, w = power_iteration(lambda x: absm @ x, m.shape[0], _BOUND_STEPS)
     return float(np.max(w / v))
 
 
