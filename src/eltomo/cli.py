@@ -66,7 +66,6 @@ _KEYS: dict[str, tuple[type, object]] = {
     "outer_iters": (int, 0),
     "inner_iters": (int, 5),
     "rho": (float, 1e-4),
-    "precondition": (bool, False),
     "realization": (int, 0),
     "param": (str, "alpha"),
     "values": (str, ""),
@@ -290,8 +289,7 @@ def cmd_reconstruct(cfg: dict) -> int:
         raise ConfigError(f"realization {cfg['realization']} out of range")
     solver_cfg = SolverConfig(
         outer_iters=_default_outer(cfg, ds.kind),
-        inner_iters=cfg["inner_iters"], rho=cfg["rho"], alpha=cfg["alpha"],
-        precondition=cfg["precondition"])
+        inner_iters=cfg["inner_iters"], rho=cfg["rho"], alpha=cfg["alpha"])
     A = build_projector(ds.recon_projector)
     result = run_method(A, ds, cfg["method"], cfg["fidelity"], solver_cfg,
                         realization=cfg["realization"], mu=cfg["mu"],
@@ -337,8 +335,7 @@ def cmd_sweep(cfg: dict) -> int:
         fidelity=cfg["fidelity"], alpha=cfg["alpha"], mu=cfg["mu"],
         beta=cfg["beta"], realizations=realos,
         outer_iters=_default_outer(cfg, ds.kind),
-        inner_iters=cfg["inner_iters"], rho=cfg["rho"],
-        precondition=cfg["precondition"])
+        inner_iters=cfg["inner_iters"], rho=cfg["rho"])
     result = run_sweep(spec, ds, A=A)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -394,7 +391,7 @@ def cmd_report(cfg: dict) -> int:
         ds, outer_iters=outer, inner_iters=cfg["inner_iters"],
         realizations=realos, beta=cfg["beta"],
         sweep_points=cfg["sweep_points"], sweep_decades=cfg["sweep_decades"],
-        rho=cfg["rho"], precondition=cfg["precondition"])
+        rho=cfg["rho"])
     out = Path(cfg["out"])
     emit_report(reports, out)
     _write_provenance(cfg, out)

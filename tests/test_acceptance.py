@@ -44,8 +44,7 @@ def ct_protocol():
     t0 = time.time()
     ds0 = make_ct_dataset(_ct_spec(CT_SEEDS[0]))
     reports = run_comparison(ds0, outer_iters=40, inner_iters=5,
-                             sweep_points=13, sweep_decades=6.0,
-                             precondition=True, beta=0.03)
+                             sweep_points=13, sweep_decades=6.0, beta=0.03)
     best = {rep.method: rep.best_param for rep in reports}
 
     datasets = map_ordered(make_ct_dataset, [_ct_spec(s) for s in CT_SEEDS])
@@ -59,7 +58,7 @@ def ct_protocol():
         alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
         mu = best["tvl2"] if method == "tvl2" else 0.0
         cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4,
-                           alpha=alpha, precondition=True)
+                           alpha=alpha)
         return run_method(A, ds, method, "ls", cfg, mu=mu)
 
     items = [(k, m) for k in range(len(CT_SEEDS)) for m in CT_METHODS]
@@ -231,7 +230,7 @@ def test_criterion_8_convergence_shape(ct_protocol):
         alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
         mu = best["tvl2"] if method == "tvl2" else 0.0
         cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
-                           alpha=alpha, precondition=True)
+                           alpha=alpha)
         res = run_method(A, ds, method, "ls", cfg, mu=mu)
         curve = [h.rmse for h in res.history]
         tail = curve[-10:]

@@ -135,8 +135,7 @@ def test_sweep_prints_failed_points(ct_dataset, tmp_path, monkeypatch,
 
 
 def test_sweep_honours_precondition(ct_dataset, tmp_path):
-    common = ("--dataset", ct_dataset, "--method", "el", "--outer-iters", 3,
-              "--precondition", "true")
+    common = ("--dataset", ct_dataset, "--method", "el", "--outer-iters", 3)
     assert _run("sweep", *common, "--values", "1e-7,1e-6",
                 "--out", tmp_path / "sw") == 0
     rows = (tmp_path / "sw" / "sweep_el.csv").read_text().splitlines()[1:]
@@ -273,7 +272,7 @@ def test_thread_count_leaves_output_bytes_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("simulate,report", [
     (("--experiment", "ct", "--fine-n", 64, "--recon-n", 32, "--n-angles", 30),
-     ("--precondition", "true")),
+     ()),
     (("--experiment", "et", "--et-n", 32, "--n-angles", 16, "--counts", 2e5,
       "--n-realizations", 2), ("--realizations", 2)),
 ], ids=["ct", "et"])
@@ -303,7 +302,7 @@ def test_report_bytes_do_not_depend_on_thread_count(simulate, report,
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--sigma", "--eps-rel",
-                                  "--gamma-rel", "--bogus"])
+                                  "--gamma-rel", "--precondition", "--bogus"])
 def test_removed_or_unknown_flag_is_one_error_line(flag, ct_dataset,
                                                    tmp_path, capsys):
     assert _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
@@ -388,8 +387,8 @@ def test_preconditioned_reconstruct_does_not_depend_on_seed(ct_dataset,
     for seed in (1, 2):
         out = tmp_path / f"seed{seed}"
         assert _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
-                    "--alpha", 1e-7, "--outer-iters", 3, "--precondition",
-                    "true", "--seed", seed, "--out", out) == 0
+                    "--alpha", 1e-7, "--outer-iters", 3, "--seed", seed,
+                    "--out", out) == 0
         tree = _tree_bytes(out)
         del tree["provenance.txt"]  # records the seed itself
         trees.append(tree)

@@ -266,7 +266,7 @@ def test_sweep_on_a_split_operator_completes(small_ct, monkeypatch, bounded):
     A = projector.build_projector(ds.recon_projector)
     assert len(A.blocks) == 2
     spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
-                     outer_iters=3, inner_iters=3, precondition=True)
+                     outer_iters=3, inner_iters=3)
     split = bounded(lambda: run_sweep(spec, ds, A=A))
     # the split adjoint rounds differently from the whole one
     assert_allclose(split.mean_rmse, run_sweep(spec, ds, A=whole).mean_rmse,

@@ -114,7 +114,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
 
     def recorded(apply_h, rhs, max_iters, apply_m=None):
         s, iters = original(apply_h, rhs, max_iters, apply_m=apply_m)
-        calls.append((apply_h, rhs, max_iters, s))
+        calls.append((apply_h, rhs, max_iters, apply_m, s))
         return s, iters
 
     monkeypatch.setattr(solvers, "_cg", recorded)
@@ -123,7 +123,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
     assert len(calls) == 3
     bv = ds.noisy[0].ravel()
     u_start = np.zeros(A.ncols)
-    for apply_h, rhs, max_iters, step in calls:
+    for apply_h, rhs, max_iters, apply_m, step in calls:
         # objective with the penalty matrix frozen at the outer iterate
         R = build_gradient_matrix(tv(), Image(A.spec.grid, u_start),
                                   alpha=alpha).matrix
@@ -134,7 +134,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
             return 0.5 * float(r @ r) + 0.5 * alpha * float(v @ (R @ v))
 
         # CG stopped after k steps gives the k-th inner iterate
-        steps = [original(apply_h, rhs, k)[0]
+        steps = [original(apply_h, rhs, k, apply_m=apply_m)[0]
                  for k in range(1, max_iters + 1)]
         assert steps[-1].tobytes() == step.tobytes()
         prev = None
@@ -149,32 +149,31 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
 def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
     ds, A = small_ct
     alpha = 1e-6
-    base = SolverConfig(outer_iters=1, inner_iters=400, rho=1e-26, alpha=alpha)
-    plain = fixed_point_reconstruct(A, ds.noisy[0], el(), base)
-    pre = SolverConfig(outer_iters=1, inner_iters=400, rho=1e-26, alpha=alpha,
-                       precondition=True)
-    precond = fixed_point_reconstruct(A, ds.noisy[0], el(), pre)
-    rel = (np.linalg.norm(plain.image.ravel() - precond.image.ravel())
-           / np.linalg.norm(plain.image.ravel()))
-    assert rel <= 1e-8
+    # the step equation of an el solve's first outer iteration
+    R = build_gradient_matrix(el(), Image(A.spec.grid, np.zeros(A.ncols)),
+                              alpha=alpha)
+
+    def apply_h(v):
+        return A.apply_adjoint(A.apply(v)) + alpha * (R.matrix @ v)
+
+    rhs = A.apply_adjoint(ds.noisy[0].ravel())
+    apply_m = _factorized_preconditioner(R, alpha, estimate_sigma(A),
+                                         A.spec.grid)
+    plain, _ = solvers._cg(apply_h, rhs, 400)
+    precond, _ = solvers._cg(apply_h, rhs, 400, apply_m=apply_m)
+    assert np.linalg.norm(plain - precond) <= 1e-8 * np.linalg.norm(plain)
 
     # with a modest step budget the preconditioned step gets much closer
     # to the converged one: the stiff penalty term is what CG chokes on
-    target = precond.image.ravel()
-    short = SolverConfig(outer_iters=1, inner_iters=12, rho=1e-26, alpha=alpha)
-    short_pre = SolverConfig(outer_iters=1, inner_iters=12, rho=1e-26,
-                             alpha=alpha, precondition=True)
-    err_plain = np.linalg.norm(
-        fixed_point_reconstruct(A, ds.noisy[0], el(), short).image.ravel() - target)
+    err_plain = np.linalg.norm(solvers._cg(apply_h, rhs, 12)[0] - precond)
     err_pre = np.linalg.norm(
-        fixed_point_reconstruct(A, ds.noisy[0], el(), short_pre).image.ravel() - target)
+        solvers._cg(apply_h, rhs, 12, apply_m=apply_m)[0] - precond)
     assert err_pre < err_plain
 
 
 def test_solvers_deterministic(small_ct):
     ds, A = small_ct
-    cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=1e-7,
-                       precondition=True)
+    cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=1e-7)
     a = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
     b = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
     assert np.array_equal(a.image.values, b.image.values)
@@ -491,7 +490,7 @@ def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
     monkeypatch.setattr(solvers, "power_iteration", counted)
     monkeypatch.setattr(metrics, "run_method", recorded)
     spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
-                     outer_iters=3, inner_iters=3, precondition=True)
+                     outer_iters=3, inner_iters=3)
     bounded(lambda: run_sweep(spec, ds, A=A))
     assert len(threads) == 2
     assert calls == [A.ncols]
@@ -512,7 +511,7 @@ ds = make_et_dataset(EtSimSpec(grid=GridSpec(112, 112), n_angles=30,
 A = build_projector(ds.recon_projector)
 b, truth = ds.noisy[0], ds.ground_truth
 mlem = SolverConfig(outer_iters=5, alpha=1e-3)
-fixed = SolverConfig(outer_iters=3, alpha=1e-3, precondition=True)
+fixed = SolverConfig(outer_iters=3, alpha=1e-3)
 for res in (cgls(A, b, 10, ground_truth=truth),
             mlem_split_reconstruct(A, b, el(), mlem, ground_truth=truth),
             fixed_point_reconstruct(A, b, el(), fixed, ground_truth=truth)):
