@@ -84,36 +84,35 @@ def run_method(A: SparseOperator, dataset: Dataset, method: str,
     raise ValueError(f"unknown fidelity {fidelity!r}")
 
 
+def _probe_scale(A: SparseOperator, dataset: Dataset, kind: Penalty,
+                 alpha: float, what: str) -> float:
+    """|A'b| / |R(A'b) A'b| in the max norm: the ratio of the data-term
+    and penalty-term gradient scales probed at the backprojected data."""
+    atb = A.apply_adjoint(dataset.noisy[0].ravel())
+    probe = Image(dataset.ground_truth.grid, atb)
+    denom = float(np.max(np.abs(
+        build_gradient_matrix(kind, probe, alpha).matrix @ atb)))
+    if denom == 0.0:
+        raise NumericalError(f"{what} gradient vanished at the probe image")
+    return float(np.max(np.abs(atb))) / denom
+
+
 def alpha_scale_heuristic(A: SparseOperator, dataset: Dataset,
                           method: str, mu: float = 0.0,
                           beta: float = 0.03) -> float:
-    """Center of the default sweep grid: the ratio of the data-term and
-    penalty-term gradient scales probed at the backprojected data."""
-    b = dataset.noisy[0].ravel()
-    atb = A.apply_adjoint(b)
+    """Center of the default sweep grid: the probe scale of the
+    method's penalty matrix at alpha = 1."""
     kind = make_penalty(method, mu=mu if mu > 0 else 1.0, beta=beta)
     if kind is None:
         raise ValueError("unregularized methods have no alpha scale")
-    probe = Image(dataset.ground_truth.grid, atb)
-    R = build_gradient_matrix(kind, probe, alpha=1.0)
-    denom = float(np.max(np.abs(R.matrix @ atb)))
-    if denom == 0.0:
-        raise NumericalError("penalty gradient vanished at the probe image")
-    return float(np.max(np.abs(atb))) / denom
+    return _probe_scale(A, dataset, kind, 1.0, "penalty")
 
 
 def mu_scale_heuristic(A: SparseOperator, dataset: Dataset) -> float:
     """Scale of the second combined-penalty constant, probed the same
     way as alpha but against the curvature part of the matrix: the
     combined penalty's matrix with alpha = 0 and mu = 1."""
-    b = dataset.noisy[0].ravel()
-    atb = A.apply_adjoint(b)
-    probe = Image(dataset.ground_truth.grid, atb)
-    part = build_gradient_matrix(tv_l2(mu=1.0), probe, alpha=0.0).matrix
-    denom = float(np.max(np.abs(part @ atb)))
-    if denom == 0.0:
-        raise NumericalError("curvature gradient vanished at the probe image")
-    return float(np.max(np.abs(atb))) / denom
+    return _probe_scale(A, dataset, tv_l2(mu=1.0), 0.0, "curvature")
 
 
 def log_grid(center: float, decades: float = 4.0, npoints: int = 15

@@ -1,14 +1,20 @@
 """Penalty functionals and their symmetric gradient matrices.
 
-Four penalties are supported:
+Every matrix here is alpha R(u): the penalty's weight alpha (and tvl2's
+mu) sits in its diagonals, so the solvers apply it with no outer
+multiplier. penalty_value is the weighted functional whose gradient,
+with the diagonals frozen at u, is alpha R(u) u. Four penalties are
+supported:
 
-  tikhonov  |u|_2^2                         -> identity matrix
-  tv        sum sqrt(|grad u|^2 + eps^2)    -> Dx' Phi Dx + Dy' Phi Dy
-  tvl2      tv term + (mu/alpha) * sum (lap u)^2 / |grad u|_gamma^3
+  tikhonov  (alpha/2) |u|_2^2                    -> alpha I
+  tv        alpha sum sqrt(|grad u|^2 + eps^2)   -> Dx' Psi Dx + Dy' Psi Dy
+  tvl2      tv term + mu sum (uxx^2 + uyy^2) / (|grad u|^2 + gamma)^1.5
             -> Dx' Psi Dx + Dy' Psi Dy + Lx' Ups Lx + Ly' Ups Ly
-            (alpha and mu are embedded in the diagonals, so the solver
-            applies this matrix with a unit outer multiplier)
-  el        |wx uxx|_2^2 + |wy uyy|_2^2     -> Lx' Wx^2 Lx + Ly' Wy^2 Ly
+  el        (alpha/2) (|wx uxx|_2^2 + |wy uyy|_2^2)
+            -> Lx' alpha Wx^2 Lx + Ly' alpha Wy^2 Ly
+
+with Psi = alpha / sqrt(|grad u|^2 + eps^2) and
+Ups = 2 mu / (|grad u|^2 + gamma)^1.5.
 
 First derivatives are forward differences, second derivatives centered
 3-point stencils, both closed with Neumann (replicated boundary)
@@ -91,12 +97,11 @@ class ElWeights:
 
 @dataclass(frozen=True)
 class RegularizerMatrix:
-    """Symmetric positive-semidefinite map on flattened images, with the
-    stencil names and frozen diagonals of its form sum_t D_t' diag(w_t)
-    D_t (both empty for the identity)."""
+    """Symmetric positive-semidefinite map alpha R(u) on flattened
+    images, with the stencil names and frozen diagonals of its form
+    sum_t D_t' diag(w_t) D_t (both empty for tikhonov's alpha I)."""
 
     matrix: sp.csr_matrix
-    kind: Penalty
     stencils: tuple[str, ...] = ()
     weights: tuple[np.ndarray, ...] = ()
 
@@ -293,66 +298,55 @@ def _grad_mag2(u: Image) -> np.ndarray:
     return grad_x(u.values, g.hx) ** 2 + grad_y(u.values, g.hy) ** 2
 
 
-def build_gradient_matrix(kind: Penalty, u: Image,
-                          alpha: float | None = None) -> RegularizerMatrix:
-    """Symmetric gradient matrix R(u) built from the current iterate."""
-    g = u.grid
-    n = g.npixels
+def _terms(kind: Penalty, u: Image, alpha: float
+           ) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+    """Stencil names and frozen diagonals of alpha R(u) in the form
+    sum_t D_t' diag(w_t) D_t (both empty for tikhonov)."""
     if kind.kind == "tikhonov":
-        return RegularizerMatrix(sp.identity(n, format="csr"), kind)
-
-    if kind.kind == "tv":
-        eps = _EPS_REL * _amplitude(u.values)
-        phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
-        names, weights = ("dx", "dy"), (phi, phi)
-    elif kind.kind == "tvl2":
-        if alpha is None:
-            raise ValueError("tvl2 gradient matrix requires alpha")
-        umax = _amplitude(u.values)
-        eps = _EPS_REL * umax
-        gamma = _GAMMA_REL * umax ** 2
-        mag2 = _grad_mag2(u)
-        psi = alpha / np.sqrt(mag2 + eps ** 2)
-        ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
-        names, weights = ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups)
-    else:  # el
+        return (), ()
+    if kind.kind == "el":
         w = compute_el_weights(u, kind.beta)
-        names, weights = ("lx", "ly"), (w.wx ** 2, w.wy ** 2)
-    return RegularizerMatrix(_assemble(g, names, weights), kind, names,
+        return ("lx", "ly"), (alpha * w.wx ** 2, alpha * w.wy ** 2)
+    umax = _amplitude(u.values)
+    mag2 = _grad_mag2(u)
+    psi = alpha / np.sqrt(mag2 + (_EPS_REL * umax) ** 2)
+    if kind.kind == "tv":
+        return ("dx", "dy"), (psi, psi)
+    ups = 2.0 * kind.mu / (mag2 + _GAMMA_REL * umax ** 2) ** 1.5
+    return ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups)
+
+
+def build_gradient_matrix(kind: Penalty, u: Image,
+                          alpha: float) -> RegularizerMatrix:
+    """The symmetric gradient matrix alpha R(u), frozen at the iterate u."""
+    if kind.kind == "tikhonov":
+        return RegularizerMatrix(alpha * sp.identity(u.grid.npixels,
+                                                     format="csr"))
+    names, weights = _terms(kind, u, alpha)
+    return RegularizerMatrix(_assemble(u.grid, names, weights), names,
                              weights)
 
 
-def penalty_value(kind: Penalty, u: Image,
-                  alpha: float | None = None) -> float:
-    """Penalty functional value; used for reporting and gradient checks
-    (the solvers work with the gradient matrices, not this value)."""
-    g = u.grid
-    if kind.kind == "tikhonov":
-        return float(np.sum(u.values ** 2))
-
+def penalty_value(kind: Penalty, u: Image, alpha: float) -> float:
+    """The weighted penalty at u, whose gradient with the diagonals
+    frozen at u is alpha R(u) u; used for reporting and tests (the
+    solvers work with the gradient matrices, not this value)."""
+    if kind.kind in ("tikhonov", "el"):  # quadratic once frozen at u
+        return frozen_quadratic(kind, u, alpha)(u.values)
     umax = _amplitude(u.values)
-    if kind.kind == "tv":
-        eps = _EPS_REL * umax
-        return float(np.sum(np.sqrt(_grad_mag2(u) + eps ** 2)))
+    mag2 = _grad_mag2(u)
+    value = alpha * float(np.sum(np.sqrt(mag2 + (_EPS_REL * umax) ** 2)))
     if kind.kind == "tvl2":
-        if alpha is None or not alpha > 0:
-            raise ValueError("tvl2 penalty value requires alpha > 0")
-        eps = _EPS_REL * umax
-        gamma = _GAMMA_REL * umax ** 2
-        mag2 = _grad_mag2(u)
-        lap = second_x(u.values, g.hx) + second_y(u.values, g.hy)
-        tv_term = np.sum(np.sqrt(mag2 + eps ** 2))
-        l2_term = np.sum(lap ** 2 / (mag2 + gamma) ** 1.5)
-        return float(tv_term + (kind.mu / alpha) * l2_term)
-    w = compute_el_weights(u, kind.beta)
-    uxx = second_x(u.values, g.hx)
-    uyy = second_y(u.values, g.hy)
-    return float(np.sum((w.wx * uxx) ** 2) + np.sum((w.wy * uyy) ** 2))
+        g = u.grid
+        curv = second_x(u.values, g.hx) ** 2 + second_y(u.values, g.hy) ** 2
+        value += kind.mu * float(
+            np.sum(curv / (mag2 + _GAMMA_REL * umax ** 2) ** 1.5))
+    return value
 
 
-def frozen_quadratic(kind: Penalty, u0: Image,
-                     alpha: float | None = None):
-    """Return q(v) = 0.5 * <R(u0) v, v> evaluated with numpy stencils.
+def frozen_quadratic(kind: Penalty, u0: Image, alpha: float):
+    """Return q(v) = 0.5 <alpha R(u0) v, v> = 0.5 sum_t w_t (D_t v)^2,
+    evaluated with the numpy stencils.
 
     This recomputes the quadratic form from the frozen diagonals and the
     difference stencils directly, without touching the sparse matrices,
@@ -360,37 +354,14 @@ def frozen_quadratic(kind: Penalty, u0: Image,
     """
     g = u0.grid
     if kind.kind == "tikhonov":
-        return lambda v: 0.5 * float(np.sum(np.asarray(v) ** 2))
-
-    umax = _amplitude(u0.values)
-    if kind.kind == "tv":
-        eps = _EPS_REL * umax
-        phi = 1.0 / np.sqrt(_grad_mag2(u0) + eps ** 2)
-
-        def q(v):
-            v = np.asarray(v).reshape(g.ny, g.nx)
-            return 0.5 * float(np.sum(phi * (grad_x(v, g.hx) ** 2
-                                             + grad_y(v, g.hy) ** 2)))
-        return q
-    if kind.kind == "tvl2":
-        if alpha is None:
-            raise ValueError("tvl2 quadratic requires alpha")
-        eps = _EPS_REL * umax
-        gamma = _GAMMA_REL * umax ** 2
-        mag2 = _grad_mag2(u0)
-        psi = alpha / np.sqrt(mag2 + eps ** 2)
-        ups = 2.0 * kind.mu / (mag2 + gamma) ** 1.5
-
-        def q(v):
-            v = np.asarray(v).reshape(g.ny, g.nx)
-            first = psi * (grad_x(v, g.hx) ** 2 + grad_y(v, g.hy) ** 2)
-            second = ups * (second_x(v, g.hx) ** 2 + second_y(v, g.hy) ** 2)
-            return 0.5 * float(np.sum(first) + np.sum(second))
-        return q
-    w = compute_el_weights(u0, kind.beta)
+        return lambda v: 0.5 * alpha * float(np.sum(np.asarray(v) ** 2))
+    ops = {"dx": lambda v: grad_x(v, g.hx), "dy": lambda v: grad_y(v, g.hy),
+           "lx": lambda v: second_x(v, g.hx),
+           "ly": lambda v: second_y(v, g.hy)}
+    terms = list(zip(*_terms(kind, u0, alpha)))
 
     def q(v):
         v = np.asarray(v).reshape(g.ny, g.nx)
-        return 0.5 * float(np.sum((w.wx * second_x(v, g.hx)) ** 2)
-                           + np.sum((w.wy * second_y(v, g.hy)) ** 2))
+        return 0.5 * sum(float(np.sum(w * ops[name](v) ** 2))
+                         for name, w in terms)
     return q

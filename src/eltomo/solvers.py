@@ -3,7 +3,7 @@
 * cgls: conjugate-gradient least squares baseline (no penalty).
 * fixed_point_reconstruct: outer fixed-point iterations that freeze the
   penalty diagonals, take inner_iters preconditioned CG steps on the
-  quadratic step equation (A'A + a R) s = -g, and re-freeze.
+  quadratic step equation (A'A + R) s = -g, and re-freeze.
   Inner CG stops early only on breakdown; rho bounds |s|^2 of the outer
   step, which ends the run.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
@@ -14,9 +14,14 @@
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
+R is the penalty matrix alpha R(u) of the regularizers module, with the
+weight alpha in its diagonals, and the history's penalty is the
+weighted penalty_value, so each record's objective is fidelity +
+penalty.
+
 The preconditioner of every regularized fixed-point solve approximates
-H = sigma^2 I + a R, R = sum_t D_t' diag(w_t) D_t, by M^-1 = S C^-1 S.
-C = sigma^2 I + sum_t a median(w_t) D_t'D_t has constant coefficients,
+H = sigma^2 I + R, R = sum_t D_t' diag(w_t) D_t, by M^-1 = S C^-1 S.
+C = sigma^2 I + sum_t median(w_t) D_t'D_t has constant coefficients,
 and the 2-D DCT-II diagonalizes each Neumann stencil product D_t'D_t
 (Strang, SIAM Review 41(1), 1999), so one dctn/idctn pair inverts it
 exactly. S = diag(sqrt(diag(C) / diag(H))) corrects for the varying
@@ -28,11 +33,11 @@ per operator; the stencils' eigenvalues and diagonals once per grid.
 Every solver is a deterministic function of its inputs. Both power
 iterations start at the all-ones vector. The preconditioner's sigma
 reads the Rayleigh quotient of 10 steps on A'A, a lower bound on
-sigma^2. ML-EM's denoising step tau = 1 / (1 + a lambda) reads the
+sigma^2. ML-EM's denoising step tau = 1 / (1 + lambda) reads the
 Collatz-Wielandt bound of 4 steps on |R|, an upper bound on lambda, the
 largest eigenvalue of R, that is at most the Gershgorin bound. So tau
-never exceeds 1 / (1 + a lambda(R)), and the linear part
-I - tau (I + a R) of a denoising step has eigenvalues in [0, 1).
+never exceeds 1 / (1 + lambda(R)), and the linear part
+I - tau (I + R) of a denoising step has eigenvalues in [0, 1).
 Only verify_error_bound draws random numbers, from its own seed.
 
 Every dot product and norm of the solvers, and of the error metrics,
@@ -271,14 +276,6 @@ def _cg(apply_h, rhs: np.ndarray, max_iters: int,
     return s, iters
 
 
-def _effective_alpha(kind: Penalty | None, alpha: float) -> float:
-    # tvl2 embeds alpha (and mu) in its diagonals, so the outer
-    # multiplier must be 1 to avoid double counting
-    if kind is not None and kind.kind == "tvl2":
-        return 1.0
-    return alpha
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil_spectrum(grid: GridSpec, name: str):
     """DCT-II eigenvalues and diagonal of D'D for the stencil D `name`
@@ -304,20 +301,20 @@ def _stencil_spectrum(grid: GridSpec, name: str):
     return lam, diag
 
 
-def _factorized_preconditioner(R: RegularizerMatrix, alpha_eff: float,
-                               sigma: float, grid: GridSpec):
-    """v -> S C^-1 S v, an SPD approximation of (sigma^2 I + alpha_eff
-    R)^-1 (see the module docstring). The orthonormal DCT Q factorizes
+def _factorized_preconditioner(R: RegularizerMatrix, sigma: float,
+                               grid: GridSpec):
+    """v -> S C^-1 S v, an SPD approximation of (sigma^2 I + R)^-1 (see
+    the module docstring). The orthonormal DCT Q factorizes
     C = Q' diag(eig) Q, so C^-1 is one dctn/idctn pair."""
     shape = (grid.ny, grid.nx)
     eig = np.full(shape, sigma ** 2)  # of C
     diag_c = np.full(shape, sigma ** 2)
     for name, w in zip(R.stencils, R.weights):
         lam, diag = _stencil_spectrum(grid, name)
-        coef = alpha_eff * float(np.median(w))
+        coef = float(np.median(w))
         eig += coef * lam
         diag_c += coef * diag
-    diag_h = sigma ** 2 + alpha_eff * R.matrix.diagonal().reshape(shape)
+    diag_h = sigma ** 2 + R.matrix.diagonal().reshape(shape)
     scale = np.sqrt(diag_c / diag_h)
 
     def solve(v: np.ndarray) -> np.ndarray:
@@ -333,7 +330,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
                             kind: Penalty | None, cfg: SolverConfig,
                             ground_truth: Image | None = None) -> ReconResult:
     """Outer iterations freeze the penalty diagonals at the current
-    iterate, then preconditioned CG approximately solves (A'A + a R) s =
+    iterate, then preconditioned CG approximately solves (A'A + R) s =
     -g. With alpha = 0 it is Gauss-Newton on the data term, by plain CG."""
     bv = b.ravel()
     if bv.size != A.nrows:
@@ -351,14 +348,12 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
     for nu in range(cfg.outer_iters):
         if regularized:
             R = build_gradient_matrix(kind, Image(A.spec.grid, u), alpha)
-            a_eff = _effective_alpha(kind, alpha)
-            grad = A.apply_adjoint(au - bv) + a_eff * (R.matrix @ u)
+            grad = A.apply_adjoint(au - bv) + R.matrix @ u
 
-            def apply_h(v, _r=R.matrix, _a=a_eff):
-                return A.apply_adjoint(A.apply(v)) + _a * (_r @ v)
+            def apply_h(v, _r=R.matrix):
+                return A.apply_adjoint(A.apply(v)) + _r @ v
 
-            apply_m = _factorized_preconditioner(R, a_eff, sigma,
-                                                 A.spec.grid)
+            apply_m = _factorized_preconditioner(R, sigma, A.spec.grid)
         else:
             grad = A.apply_adjoint(au - bv)
             apply_m = None
@@ -376,7 +371,7 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
                if regularized else 0.0)
         step2 = dot(s, s)
         history.append(HistoryRecord(
-            iteration=nu + 1, objective=fid + alpha * pen, fidelity=fid,
+            iteration=nu + 1, objective=fid + pen, fidelity=fid,
             penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
         if step2 <= cfg.rho:
             terminated = True
@@ -390,7 +385,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
                            kind: Penalty | None, cfg: SolverConfig,
                            ground_truth: Image | None = None) -> ReconResult:
     """Multiplicative ML-EM step followed by explicit denoising steps
-    f <- f - tau ((f - f0) + a R f) against the matrix frozen at the
+    f <- f - tau ((f - f0) + R f) against the matrix frozen at the
     post-EM iterate. Starts from all ones; iterates stay nonnegative."""
     bv = b.ravel()
     if bv.size != A.nrows:
@@ -422,11 +417,10 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
 
         if regularized:
             R = build_gradient_matrix(kind, Image(A.spec.grid, u_half), alpha)
-            a_eff = _effective_alpha(kind, alpha)
-            tau = 1.0 / (1.0 + a_eff * penalty_eigenvalue(R.matrix))
+            tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
             f = u_half.copy()
             for _ in range(cfg.inner_iters):
-                f = f - tau * ((f - u_half) + a_eff * (R.matrix @ f))
+                f = f - tau * ((f - u_half) + R.matrix @ f)
             u_new = np.maximum(f, 0.0)
         else:
             u_new = u_half
@@ -439,7 +433,7 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         step2 = float(np.sum((u_new - u) ** 2))
         u = u_new
         history.append(HistoryRecord(
-            iteration=nu + 1, objective=fid + alpha * pen, fidelity=fid,
+            iteration=nu + 1, objective=fid + pen, fidelity=fid,
             penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
         if step2 <= cfg.rho:
             terminated = True

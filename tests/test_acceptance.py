@@ -119,8 +119,7 @@ def test_criterion_3_dense_oracle_first_step():
     for kind, alpha in ((tikhonov(), 1e-3), (tv(), 1e-4),
                         (tv_l2(mu=1e-4), 1e-4), (el(), 1e-8)):
         R = build_gradient_matrix(kind, u0, alpha=alpha)
-        a_eff = 1.0 if kind.kind == "tvl2" else alpha
-        h = dense.T @ dense + a_eff * R.matrix.toarray()
+        h = dense.T @ dense + R.matrix.toarray()
         s_dense = np.linalg.solve(h, dense.T @ b.ravel())
         cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28,
                            alpha=alpha)

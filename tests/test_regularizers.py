@@ -66,7 +66,7 @@ def test_zero_image_weights_default_to_one():
 
 def test_tikhonov_matrix_is_identity(rng):
     img = _smooth_image(rng)
-    R = build_gradient_matrix(tikhonov(), img)
+    R = build_gradient_matrix(tikhonov(), img, alpha=1.0)
     v = rng.standard_normal(img.grid.npixels)
     assert_allclose(R.matrix @ v, v, rtol=0, atol=0)
 
@@ -114,8 +114,9 @@ def test_matvec_matches_frozen_functional_gradient(kind, rng):
 
 def test_el_matrix_scale_invariant(rng):
     img = _smooth_image(rng)
-    r1 = build_gradient_matrix(el(), img).matrix
-    r2 = build_gradient_matrix(el(), Image(img.grid, img.values * 7.0)).matrix
+    r1 = build_gradient_matrix(el(), img, alpha=1.0).matrix
+    r2 = build_gradient_matrix(el(), Image(img.grid, img.values * 7.0),
+                               alpha=1.0).matrix
     diff = abs(r1 - r2)
     assert (diff.data.max() if diff.nnz else 0.0) <= 1e-12 * np.abs(r1.data).max()
 
@@ -123,17 +124,20 @@ def test_el_matrix_scale_invariant(rng):
 def test_penalty_values_on_constant_image():
     n = 16
     img = Image(GridSpec(n, n), np.full(n * n, 2.0))
-    assert penalty_value(el(), img) == 0.0
+    assert penalty_value(el(), img, alpha=1.0) == 0.0
     # smoothed TV of a constant is N * eps with eps = eps_rel * umax
     expected = n * n * 1e-5 * 2.0
-    assert_allclose(penalty_value(tv(), img), expected, rtol=1e-12)
+    assert_allclose(penalty_value(tv(), img, alpha=1.0), expected,
+                    rtol=1e-12)
 
 
 def test_tikhonov_penalty_of_unit_norm_image(rng):
     v = rng.standard_normal(64)
     v /= np.linalg.norm(v)
     img = Image(GridSpec(8, 8), v)
-    assert_allclose(penalty_value(tikhonov(), img), 1.0, rtol=1e-12)
+    # (alpha/2) |u|^2, whose gradient is the matrix alpha I applied to u
+    assert_allclose(penalty_value(tikhonov(), img, alpha=1.0), 0.5,
+                    rtol=1e-12)
 
 
 def test_el_penalty_prefers_edge_over_oscillation():
@@ -145,15 +149,22 @@ def test_el_penalty_prefers_edge_over_oscillation():
     grid = GridSpec(n, n)
     zigzag = Image(grid, np.tile((np.arange(n) % 2).astype(float), (n, 1)))
     step = Image(grid, np.tile((np.arange(n) >= n // 2).astype(float), (n, 1)))
-    assert penalty_value(el(), step) < penalty_value(el(), zigzag)
+    assert (penalty_value(el(), step, alpha=1.0)
+            < penalty_value(el(), zigzag, alpha=1.0))
 
 
-def test_tvl2_requires_alpha(rng):
+@pytest.mark.parametrize("kind,alpha", [
+    (tikhonov(), 0.3), (el(), 0.3), (tv_l2(mu=0.5), 0.0)],
+    ids=["tikhonov", "el", "tvl2-alpha0"])
+def test_quadratic_penalty_value_is_half_the_frozen_form(kind, alpha, rng):
+    # where the penalty is quadratic once its diagonals are frozen at u,
+    # its value at u is 0.5 u' (alpha R(u)) u, the functional the
+    # solvers descend
     img = _smooth_image(rng)
-    with pytest.raises(ValueError):
-        build_gradient_matrix(tv_l2(mu=0.5), img)
-    with pytest.raises(ValueError):
-        penalty_value(tv_l2(mu=0.5), img)
+    m = build_gradient_matrix(kind, img, alpha=alpha).matrix
+    u = img.ravel()
+    assert_allclose(penalty_value(kind, img, alpha=alpha),
+                    0.5 * float(u @ (m @ u)), rtol=1e-12)
 
 
 def test_penalty_validation():
@@ -168,8 +179,8 @@ def test_penalty_validation():
 
 
 def _triple_product(kind, u, alpha):
-    """Oracle: the penalty matrix as a sum of sparse triple products
-    D' diag(w) D over the difference stencils."""
+    """Oracle: the penalty matrix alpha R(u) as a sum of sparse triple
+    products D' diag(w) D over the difference stencils."""
     g = u.grid
     ops = {name: _stencil(g, name) for name in ("dx", "dy", "lx", "ly")}
 
@@ -179,7 +190,7 @@ def _triple_product(kind, u, alpha):
 
     if kind.kind == "tv":
         eps = _EPS_REL * _amplitude(u.values)
-        phi = 1.0 / np.sqrt(_grad_mag2(u) + eps ** 2)
+        phi = alpha / np.sqrt(_grad_mag2(u) + eps ** 2)
         m = term("dx", phi) + term("dy", phi)
     elif kind.kind == "tvl2":
         umax = _amplitude(u.values)
@@ -192,14 +203,14 @@ def _triple_product(kind, u, alpha):
              + term("lx", ups) + term("ly", ups))
     else:
         w = compute_el_weights(u, kind.beta)
-        m = term("lx", w.wx ** 2) + term("ly", w.wy ** 2)
+        m = term("lx", alpha * w.wx ** 2) + term("ly", alpha * w.wy ** 2)
     return m.tocsr().sorted_indices()
 
 
 @pytest.mark.parametrize("grid", [GridSpec(32, 32), GridSpec(12, 7)],
                          ids=["32x32", "12x7"])
 @pytest.mark.parametrize("kind,alpha", [
-    (tv(), 1.0), (tv_l2(mu=0.5), 1.0), (el(), None),
+    (tv(), 0.3), (tv_l2(mu=0.5), 0.3), (el(), 0.3),
     (tv_l2(mu=1.0), 0.0),  # the curvature part probed by mu_scale_heuristic
 ], ids=["tv", "tvl2", "el", "tvl2-alpha0"])
 def test_fixed_pattern_fill_matches_triple_product(grid, kind, alpha, rng):

@@ -21,9 +21,8 @@ from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
 from eltomo import metrics, projector, solvers
 from eltomo.metrics import SweepSpec, run_sweep
 from eltomo.regularizers import build_gradient_matrix
-from eltomo.solvers import (NumericalError, _effective_alpha,
-                            _factorized_preconditioner, estimate_sigma,
-                            penalty_eigenvalue)
+from eltomo.solvers import (NumericalError, _factorized_preconditioner,
+                            estimate_sigma, penalty_eigenvalue)
 
 
 def _operator(n=16, n_angles=20, kernel="linear", fwhm=None):
@@ -96,8 +95,7 @@ def test_first_outer_step_matches_dense_solve(kind, alpha):
     dense = A.matrix.toarray()
     u0 = Image(A.spec.grid, np.zeros(A.ncols))
     R = build_gradient_matrix(kind, u0, alpha=alpha)
-    a_eff = 1.0 if kind.kind == "tvl2" else alpha
-    h = dense.T @ dense + a_eff * R.matrix.toarray()
+    h = dense.T @ dense + R.matrix.toarray()
     s_dense = np.linalg.solve(h, dense.T @ b.ravel())
     cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28, alpha=alpha)
     res = fixed_point_reconstruct(A, b, kind, cfg)
@@ -131,7 +129,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
         def frozen_objective(s):
             r = A.apply(u_start + s) - bv
             v = u_start + s
-            return 0.5 * float(r @ r) + 0.5 * alpha * float(v @ (R @ v))
+            return 0.5 * float(r @ r) + 0.5 * float(v @ (R @ v))
 
         # CG stopped after k steps gives the k-th inner iterate
         steps = [original(apply_h, rhs, k, apply_m=apply_m)[0]
@@ -154,11 +152,10 @@ def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
                               alpha=alpha)
 
     def apply_h(v):
-        return A.apply_adjoint(A.apply(v)) + alpha * (R.matrix @ v)
+        return A.apply_adjoint(A.apply(v)) + R.matrix @ v
 
     rhs = A.apply_adjoint(ds.noisy[0].ravel())
-    apply_m = _factorized_preconditioner(R, alpha, estimate_sigma(A),
-                                         A.spec.grid)
+    apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
     plain, _ = solvers._cg(apply_h, rhs, 400)
     precond, _ = solvers._cg(apply_h, rhs, 400, apply_m=apply_m)
     assert np.linalg.norm(plain - precond) <= 1e-8 * np.linalg.norm(plain)
@@ -262,22 +259,23 @@ def test_mlem_rejects_negative_data():
 
 
 def test_denoising_step_strictly_decreases_objective(rng):
-    # oracle: explicit evaluation of 0.5|f-f0|^2 + (alpha/2) <Rf, f>
+    # oracle: explicit evaluation of 0.5|f-f0|^2 + 0.5 <Rf, f>, with
+    # alpha inside R
     grid = GridSpec(32, 32)
     noisy = Image(grid, gaussian_filter(rng.standard_normal((32, 32)), 1.0)
                   + 0.3 * rng.standard_normal((32, 32)) + 1.0)
     alpha = 1e-8
-    R = build_gradient_matrix(el(), noisy).matrix
-    tau = 1.0 / (1.0 + alpha * penalty_eigenvalue(R))
+    R = build_gradient_matrix(el(), noisy, alpha=alpha).matrix
+    tau = 1.0 / (1.0 + penalty_eigenvalue(R))
     f0 = noisy.ravel().copy()
     f = f0.copy()
 
     def objective(v):
-        return 0.5 * float((v - f0) @ (v - f0)) + 0.5 * alpha * float(v @ (R @ v))
+        return 0.5 * float((v - f0) @ (v - f0)) + 0.5 * float(v @ (R @ v))
 
     prev = objective(f)
     for _ in range(10):
-        f = f - tau * ((f - f0) + alpha * (R @ f))
+        f = f - tau * ((f - f0) + R @ f)
         cur = objective(f)
         assert cur < prev
         prev = cur
@@ -375,9 +373,9 @@ def test_penalty_eigenvalue_tightens_and_stays_above(kind, rng,
 @pytest.mark.parametrize("method", ["el", "tv", "tvl2"])
 def test_mlem_denoising_step_stays_within_one_over_lipschitz(method,
                                                              monkeypatch):
-    # the step f -> f - tau ((f - f0) + a R f) has the linear part
-    # I - tau (I + a R), whose eigenvalues lie in [0, 1) exactly when
-    # tau (1 + a lambda_max(R)) <= 1; R is checked at the ML-EM iterates
+    # the step f -> f - tau ((f - f0) + R f) has the linear part
+    # I - tau (I + R), whose eigenvalues lie in [0, 1) exactly when
+    # tau (1 + lambda_max(R)) <= 1; R is checked at the ML-EM iterates
     # of an emission run at the protocol's sweep center
     ds = make_et_dataset(EtSimSpec(grid=GridSpec(32, 32), n_angles=16,
                                    total_counts=2e5, n_realizations=1,
@@ -397,10 +395,9 @@ def test_mlem_denoising_step_stays_within_one_over_lipschitz(method,
     kind = metrics.make_penalty(method, mu=mu)
     mlem_split_reconstruct(A, ds.noisy[0], kind, cfg)
     assert len(seen) == cfg.outer_iters
-    a_eff = _effective_alpha(kind, alpha)
     for R, bound in seen:
-        tau = 1.0 / (1.0 + a_eff * bound)
-        assert tau * (1.0 + a_eff * _top_eigenvalue(R)) <= 1.0
+        tau = 1.0 / (1.0 + bound)
+        assert tau * (1.0 + _top_eigenvalue(R)) <= 1.0
 
 
 @pytest.mark.parametrize("fwhm", [None, 3.0])
@@ -422,15 +419,13 @@ _GRIDS = [GridSpec(32, 32), GridSpec(12, 7, dx=1.0, dy=1.5)]  # hx != hy
 
 
 def _preconditioner(kind, grid, values):
-    """(M^-1, H) for H = sigma^2 I + a R(values), with the penalty term
-    1e3 times stiffer than the identity part, as in the solves the
-    preconditioner is there for."""
-    alpha = 1e-3
-    R = build_gradient_matrix(kind, Image(grid, values), alpha=alpha)
-    a_eff = _effective_alpha(kind, alpha)
-    sigma = np.sqrt(a_eff * penalty_eigenvalue(R.matrix) / 1e3)
-    h = sigma ** 2 * sp.identity(grid.npixels) + a_eff * R.matrix
-    return _factorized_preconditioner(R, a_eff, sigma, grid), h
+    """(M^-1, H) for H = sigma^2 I + R(values), R carrying alpha, with
+    the penalty term 1e3 times stiffer than the identity part, as in the
+    solves the preconditioner is there for."""
+    R = build_gradient_matrix(kind, Image(grid, values), alpha=1e-3)
+    sigma = np.sqrt(penalty_eigenvalue(R.matrix) / 1e3)
+    h = sigma ** 2 * sp.identity(grid.npixels) + R.matrix
+    return _factorized_preconditioner(R, sigma, grid), h
 
 
 @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
