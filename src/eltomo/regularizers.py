@@ -301,9 +301,7 @@ def _grad_mag2(u: Image) -> np.ndarray:
 def _terms(kind: Penalty, u: Image, alpha: float
            ) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
     """Stencil names and frozen diagonals of alpha R(u) in the form
-    sum_t D_t' diag(w_t) D_t (both empty for tikhonov)."""
-    if kind.kind == "tikhonov":
-        return (), ()
+    sum_t D_t' diag(w_t) D_t, for every kind but tikhonov."""
     if kind.kind == "el":
         w = compute_el_weights(u, kind.beta)
         return ("lx", "ly"), (alpha * w.wx ** 2, alpha * w.wy ** 2)
