@@ -7,6 +7,16 @@ pitch (the mean line integral across the strip). Keeping both kernels in
 the same units is what allows data simulated with one kernel to be
 reconstructed with the other.
 
+The strip kernel builds one view at a time, in one pass over all pixels
+per bin offset: offset j holds each pixel's weight in the j-th bin its
+footprint reaches, the difference of the footprint's cumulative profile
+at that bin's two edges. The trapezoid is evaluated only on arrays of
+edge positions with some entry strictly inside the footprint; an array
+at or beyond one end of it takes the profile's value there, computed
+once per view, and an offset whose weights are nowhere positive is
+dropped. A streaming projection adds each offset's products into its
+row in place; an assembled matrix stores each offset's positive entries.
+
 The matrix is precomputed and stored in CSR form; the adjoint is the
 exact transpose. It is assembled in place: a first pass counts each
 ray's entries, the CSR arrays are allocated once at their exact size and
@@ -52,7 +62,8 @@ SPLIT_NNZ = 2_000_000
 # views x pixels reaches this. The worker thread keeps its own allocator
 # arena, which raised peak memory by 3-6 MiB on the comparison sizes
 # (60 views of 128^2, 90 views of 200^2) for a saving of 20-170 ms; the
-# full-size data (90 views of 500^2) saves about 2 s.
+# full-size data (90 views of 500^2) saves about 0.9 s, 1.4-1.7 s split
+# against 2.2-2.5 s on one thread (2-core VM).
 STREAM_SPLIT_PIXELS = 10_000_000
 
 # Two threads when the process may run on two or more cores, else one.
@@ -237,7 +248,11 @@ def _strip_cumulative(t: np.ndarray, w: float, f: float, area: float
 
     The profile of an axis-aligned pixel projected onto the detector
     axis is a trapezoid with support [-w, w], flat top [-f, f] and total
-    integral equal to the pixel area.
+    integral equal to the pixel area. ``_strip_view`` calls this only on
+    arrays with some entry strictly inside (-w, w); an array at or beyond
+    one end takes this function's value at that end, evaluated once per
+    view. That value is computed, not assumed: in the axis-aligned branch
+    ``area * (2w) / (2w)`` need not round to ``area``.
     """
     t = np.clip(t, -w, w)
     rise = w - f
@@ -254,9 +269,15 @@ def _strip_cumulative(t: np.ndarray, w: float, f: float, area: float
     return out
 
 
-def _strip_angle_entries(spec: ProjectorSpec, angle: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bin index, pixel index, weight) triplets for one view."""
+def _strip_view(spec: ProjectorSpec, angle: float
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every pixel's bin index and weight in one view, as one pair of
+    pixel-length arrays per bin offset, offsets in increasing order.
+
+    An entry that is not stored, because its bin is off the detector or
+    its weight is not positive, has bin index ``nbins``. An offset whose
+    weights are nowhere positive is left out.
+    """
     g = spec.grid
     c, s = math.cos(angle), math.sin(angle)
     hx, hy = g.hx, g.hy
@@ -264,6 +285,14 @@ def _strip_angle_entries(spec: ProjectorSpec, angle: float
     f = 0.5 * abs(hx * abs(c) - hy * abs(s))
     area = hx * hy
     pitch = spec.bin_pitch
+    low, high = _strip_cumulative(np.array([-w, w]), w, f, area)
+
+    def cumulative(arg):
+        if arg.max() <= -w:
+            return low
+        if arg.min() >= w:
+            return high
+        return _strip_cumulative(arg, w, f, area)
 
     x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
     y = (np.arange(g.ny) + 0.5) * hy - 0.5 * g.dy
@@ -273,17 +302,30 @@ def _strip_angle_entries(spec: ProjectorSpec, angle: float
     klo = np.floor((t - w - edge0) / pitch).astype(np.int64)
     span = int(math.ceil(2.0 * w / pitch)) + 2
 
-    bins, pixels, weights = [], [], []
-    pix = np.arange(t.size, dtype=np.int64)
+    offsets = []
     for off in range(span):
         k = klo + off
         lo = edge0 + k * pitch
-        wgt = (_strip_cumulative(lo + pitch - t, w, f, area)
-               - _strip_cumulative(lo - t, w, f, area)) / pitch
-        keep = (k >= 0) & (k < spec.nbins) & (wgt > 0.0)
-        bins.append(k[keep])
-        pixels.append(pix[keep])
-        weights.append(wgt[keep])
+        wgt = np.broadcast_to((cumulative(lo + pitch - t)
+                               - cumulative(lo - t)) / pitch, t.shape)
+        stored = wgt > 0.0
+        if not stored.any():
+            continue
+        stored &= (k >= 0) & (k < spec.nbins)
+        offsets.append((np.where(stored, k, spec.nbins), wgt))
+    return offsets
+
+
+def _strip_angle_entries(spec: ProjectorSpec, angle: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bin index, pixel index, weight) triplets for one view: the stored
+    entries of each bin offset in turn."""
+    bins, pixels, weights = [], [], []
+    for k, wgt in _strip_view(spec, angle):
+        stored = k < spec.nbins
+        bins.append(k[stored])
+        pixels.append(np.flatnonzero(stored))
+        weights.append(wgt[stored])
     return (np.concatenate(bins), np.concatenate(pixels),
             np.concatenate(weights))
 
@@ -376,12 +418,6 @@ def _linear_angle_entries(spec: ProjectorSpec, angle: float, scratch: dict
     rays = np.tile(np.arange(spec.nbins, dtype=np.int64), 2)
     return (np.repeat(rays, stored.sum(axis=2).ravel()), pixels[stored],
             weights[stored])
-
-
-def _angle_entries(spec: ProjectorSpec, angle: float, scratch: dict):
-    if spec.kernel == "strip":
-        return _strip_angle_entries(spec, angle)
-    return _linear_angle_entries(spec, angle, scratch)
 
 
 def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
@@ -547,10 +583,18 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
     def views(first):
         scratch: dict = {}
         for ia in range(first, spec.n_angles, 2):
-            bins, pixels, weights = _angle_entries(spec, spec.angles[ia],
-                                                   scratch)
-            out[ia] = np.bincount(bins, weights * flat[pixels],
-                                  minlength=spec.nbins)
+            angle = spec.angles[ia]
+            if spec.kernel == "strip":
+                # the last slot takes the entries that are not stored
+                row = np.zeros(spec.nbins + 1)
+                for bins, weights in _strip_view(spec, angle):
+                    np.add.at(row, bins, weights * flat)
+                out[ia] = row[:-1]
+            else:
+                bins, pixels, weights = _linear_angle_entries(spec, angle,
+                                                              scratch)
+                out[ia] = np.bincount(bins, weights * flat[pixels],
+                                      minlength=spec.nbins)
 
     if spec.n_angles * spec.grid.npixels >= STREAM_SPLIT_PIXELS:
         _run_pair(lambda: views(0), lambda: views(1))

@@ -560,9 +560,50 @@ def _linear_entries_oracle(spec, angle):
             np.concatenate([w_lo[keep_lo], w_hi[keep_hi]]))
 
 
+def _strip_entries_oracle(spec, angle):
+    """The strip kernel's (bin, pixel, weight) triplets of one view, as
+    computed before the kernel skipped saturated footprints: both
+    cumulatives of every bin offset evaluated in full, then compacted."""
+    g = spec.grid
+    c, s = math.cos(angle), math.sin(angle)
+    w = 0.5 * (g.hx * abs(c) + g.hy * abs(s))
+    f = 0.5 * abs(g.hx * abs(c) - g.hy * abs(s))
+    area = g.hx * g.hy
+    rise = w - f
+    lmax = area / (w + f)
+
+    def cumulative(t):
+        t = np.clip(t, -w, w)
+        if rise <= 1e-12 * w:
+            return area * (t + w) / (2.0 * w)
+        return np.where(
+            t < -f, 0.5 * lmax * (t + w) ** 2 / rise,
+            np.where(t > f, area - 0.5 * lmax * (w - t) ** 2 / rise,
+                     0.5 * lmax * rise + lmax * (t + f)))
+
+    x = (np.arange(g.nx) + 0.5) * g.hx - 0.5 * g.dx
+    y = (np.arange(g.ny) + 0.5) * g.hy - 0.5 * g.dy
+    t = (c * x[None, :] + s * y[:, None]).ravel()
+    pitch = spec.bin_pitch
+    edge0 = -0.5 * spec.nbins * pitch
+    klo = np.floor((t - w - edge0) / pitch).astype(np.int64)
+    pix = np.arange(t.size, dtype=np.int64)
+    bins, pixels, weights = [], [], []
+    for off in range(int(math.ceil(2.0 * w / pitch)) + 2):
+        k = klo + off
+        lo = edge0 + k * pitch
+        wgt = (cumulative(lo + pitch - t) - cumulative(lo - t)) / pitch
+        keep = (k >= 0) & (k < spec.nbins) & (wgt > 0.0)
+        bins.append(k[keep])
+        pixels.append(pix[keep])
+        weights.append(wgt[keep])
+    return (np.concatenate(bins), np.concatenate(pixels),
+            np.concatenate(weights))
+
+
 def _vstack_oracle(spec):
     """The system matrix as one CSR block per view, stacked."""
-    entries = (projector._strip_angle_entries if spec.kernel == "strip"
+    entries = (_strip_entries_oracle if spec.kernel == "strip"
                else _linear_entries_oracle)
     blocks = []
     for angle in spec.angles:
@@ -582,24 +623,58 @@ EDGE_ANGLES = np.array([0.0, np.pi / 4, 1.0, np.pi / 2, 3 * np.pi / 4,
                         3.0])
 
 
+def _detector(grid, width):
+    nbins, pitch = default_detector(grid)
+    if width == "wide":
+        # a detector far wider than the grid leaves its outer rows empty
+        return 3 * nbins, pitch / 2
+    if width == "coarse":
+        # bins four pixels wide, each holding whole pixel footprints
+        return nbins // 4, pitch * 4
+    return nbins, pitch
+
+
 @pytest.mark.parametrize("kernel", ["strip", "linear"])
 @pytest.mark.parametrize("fwhm", [None, 3.0])
-@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 7)],
-                         ids=["16x16", "12x7"])
-@pytest.mark.parametrize("views", ["edges", "one", "uniform", "wide"])
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 7),
+                                  GridSpec(5, 9)],
+                         ids=["16x16", "12x7", "5x9"])
+@pytest.mark.parametrize("views", ["edges", "one", "uniform", "wide",
+                                   "coarse"])
 def test_assembly_is_bytewise_the_stacked_views(kernel, fwhm, grid, views):
-    nbins, pitch = default_detector(grid)
-    angles = {"edges": EDGE_ANGLES, "one": np.array([np.pi / 4]),
-              "uniform": uniform_angles(9), "wide": EDGE_ANGLES}[views]
-    if views == "wide":
-        # a detector far wider than the grid leaves its outer rows empty
-        nbins, pitch = 3 * nbins, pitch / 2
+    nbins, pitch = _detector(grid, views)
+    angles = {"one": np.array([np.pi / 4]),
+              "uniform": uniform_angles(9)}.get(views, EDGE_ANGLES)
     spec = ProjectorSpec(grid, angles, nbins, pitch, kernel,
                          psf_fwhm_bins=fwhm)
     got, want = build_projector(spec).matrix, _vstack_oracle(spec)
     assert got.shape == want.shape and _same_arrays(got, want)
     if views == "wide":
         assert np.any(np.diff(got.indptr) == 0)
+
+
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 7),
+                                  GridSpec(5, 9)],
+                         ids=["16x16", "12x7", "5x9"])
+@pytest.mark.parametrize("width", ["default", "wide", "coarse"])
+def test_strip_streaming_is_bytewise_the_oracle_rows(fwhm, grid, width, rng):
+    # each row is the oracle's entries summed per bin in their order; on
+    # the 5x9 grid at angle 0, area * (2w) / (2w) does not round to area
+    nbins, pitch = _detector(grid, width)
+    spec = ProjectorSpec(grid, EDGE_ANGLES, nbins, pitch, "strip",
+                         psf_fwhm_bins=fwhm)
+    u = Image(grid, rng.standard_normal(grid.npixels))
+    rows = []
+    for angle in spec.angles:
+        bins, pixels, weights = _strip_entries_oracle(spec, angle)
+        rows.append(np.bincount(bins, weights * u.ravel()[pixels],
+                                minlength=nbins))
+    want = np.array(rows)
+    if fwhm is not None:
+        want = apply_psf(Sinogram(spec.angles, nbins, want), fwhm).values
+    got = project_streaming(spec, u).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("angles", [EDGE_ANGLES, uniform_angles(30)],

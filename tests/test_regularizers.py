@@ -126,7 +126,7 @@ def test_penalty_values_on_constant_image():
     img = Image(GridSpec(n, n), np.full(n * n, 2.0))
     assert penalty_value(el(), img, alpha=1.0) == 0.0
     # smoothed TV of a constant is N * eps with eps = eps_rel * umax
-    expected = n * n * 1e-5 * 2.0
+    expected = n * n * _EPS_REL * 2.0
     assert_allclose(penalty_value(tv(), img, alpha=1.0), expected,
                     rtol=1e-12)
 

@@ -12,10 +12,11 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.ndimage import gaussian_filter
 
-from eltomo import (EtSimSpec, GridSpec, Image, Sinogram, SolverConfig,
-                    cgls, el, fixed_point_reconstruct, make_et_dataset,
-                    mlem_split_reconstruct, tikhonov, tv, tv_l2,
-                    uniform_angles, verify_error_bound)
+from eltomo import (CtSimSpec, EtSimSpec, GridSpec, Image, Sinogram,
+                    SolverConfig, cgls, el, fixed_point_reconstruct,
+                    make_ct_dataset, make_et_dataset, mlem_split_reconstruct,
+                    rmse, tikhonov, tv, tv_l2, uniform_angles,
+                    verify_error_bound)
 from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
 from eltomo import metrics, projector, solvers
@@ -166,6 +167,35 @@ def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
     err_pre = np.linalg.norm(
         solvers._cg(apply_h, rhs, 12, apply_m=apply_m)[0] - precond)
     assert err_pre < err_plain
+
+
+@pytest.fixture(scope="module")
+def half_ct():
+    """Criterion 6's data at half size: 100^2 strip to 50^2 linear, 45
+    angles, 25 bins, seed 0, with its projector and sigma."""
+    ds = make_ct_dataset(CtSimSpec(fine_grid=GridSpec(100, 100),
+                                   recon_grid=GridSpec(50, 50), n_angles=45,
+                                   i0=3e5, nbins=25, seed=0))
+    A = build_projector(ds.recon_projector)
+    return ds, A, estimate_sigma(A)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 2e-5])
+def test_tv_solve_does_not_amplify_rounding(half_ct, alpha, monkeypatch):
+    # near tv's best weight on this data, with the step test switched off
+    # so that the run length cannot change: moving the preconditioner's
+    # sigma by 1e-12 relative may move the RMSE by at most 1e-6 relative.
+    # With the TV smoothing at 1e-5 umax it moved by 2e-5 to 2e-4.
+    ds, A, sigma = half_ct
+    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
+                       alpha=alpha)
+    errors = []
+    for scale in (1.0, 1.0 + 1e-12):
+        monkeypatch.setattr(solvers, "_operator_sigma",
+                            lambda _A, scale=scale: sigma * scale)
+        res = fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg)
+        errors.append(rmse(res.image, ds.ground_truth))
+    assert abs(errors[1] - errors[0]) <= 1e-6 * errors[0]
 
 
 def test_solvers_deterministic(small_ct):
