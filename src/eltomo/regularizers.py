@@ -50,9 +50,10 @@ from .grids import GridSpec, Image
 _TINY_AMPLITUDE = 1e-30
 # the TV smoothing eps and the tvl2 curvature floor gamma, relative to
 # the iterate amplitude umax: eps = _EPS_REL umax, gamma = _GAMMA_REL umax^2.
-# At eps = 1e-5 umax the flat regions' diffusivity alpha/eps made the tv
-# and tvl2 runs amplify a 1e-12 change of the preconditioner to 1e-4 in
-# their RMSE; at 1e-3 umax it stays below 1e-6 near the best weights.
+# A smaller eps makes the flat regions' diffusivity alpha/eps so stiff that
+# tv and tvl2 runs amplify rounding: at 1e-5 umax a 1e-12 change of the
+# preconditioner moved their RMSE by up to 1e-3, at 1e-3 umax by under 1e-6
+# near the best weights.
 _EPS_REL = 1e-3
 _GAMMA_REL = 1.0
 

@@ -185,7 +185,7 @@ def test_tv_solve_does_not_amplify_rounding(half_ct, alpha, monkeypatch):
     # near tv's best weight on this data, with the step test switched off
     # so that the run length cannot change: moving the preconditioner's
     # sigma by 1e-12 relative may move the RMSE by at most 1e-6 relative.
-    # With the TV smoothing at 1e-5 umax it moved by 2e-5 to 2e-4.
+    # At a TV smoothing eps of 1e-5 umax it moves by 2e-5 to 2e-4.
     ds, A, sigma = half_ct
     cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
                        alpha=alpha)
