@@ -21,9 +21,9 @@ import numpy as np
 
 from . import fileio
 from .grids import GridSpec, Image, uniform_angles
-from .metrics import (SweepSpec, alpha_scale_heuristic, emit_report,
-                      log_grid, mu_scale_heuristic, run_comparison,
-                      run_method, run_sweep, sweep_csv)
+from .metrics import (BASELINES, SweepSpec, alpha_scale_heuristic,
+                      emit_report, log_grid, mu_scale_heuristic,
+                      run_comparison, run_method, run_sweep, sweep_csv)
 from .phantoms import (default_ct_descriptor, generate_ct_phantom,
                        generate_et_phantom, load_descriptor, save_descriptor)
 from .projector import (ProjectorSpec, build_projector, default_detector,
@@ -253,19 +253,11 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-_LS_METHODS = ("cgls", "tikhonov", "tv", "tvl2", "el")
-_POISSON_METHODS = ("mlem", "tikhonov", "tv", "tvl2", "el")
-
-
 def _validate_method(cfg: dict) -> None:
     method, fidelity = cfg["method"], cfg["fidelity"]
-    if fidelity == "ls":
-        allowed = _LS_METHODS
-    elif fidelity == "poisson":
-        allowed = _POISSON_METHODS
-    else:
+    if fidelity not in BASELINES:
         raise ConfigError(f"unknown fidelity {fidelity!r}")
-    if method not in allowed:
+    if method != BASELINES[fidelity] and method not in KINDS:
         raise ConfigError(
             f"method {method!r} is not supported with fidelity {fidelity!r}")
     if method in KINDS and not cfg["alpha"] > 0:
@@ -355,7 +347,7 @@ def _validate_sweep(cfg: dict) -> None:
     param, method = cfg["param"], cfg["method"]
     if not cfg["dataset"]:
         raise ConfigError("sweep needs --dataset DIR")
-    if method in ("cgls", "mlem"):
+    if method in BASELINES.values():
         raise ConfigError("cannot sweep an unregularized method")
     if method not in KINDS:
         raise ConfigError(f"unknown method {method!r}")

@@ -52,9 +52,13 @@ def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
     return norm(r - t) / denom
 
 
+# each fidelity's unregularized baseline; every penalty kind runs with both
+BASELINES = {"ls": "cgls", "poisson": "mlem"}
+
+
 def make_penalty(method: str, mu: float = 0.0,
                  beta: float = 0.03) -> Penalty | None:
-    if method == "cgls" or method == "mlem":
+    if method in BASELINES.values():
         return None
     if method == "tikhonov":
         return tikhonov()
@@ -70,18 +74,20 @@ def make_penalty(method: str, mu: float = 0.0,
 def run_method(A: SparseOperator, dataset: Dataset, method: str,
                fidelity: str, cfg: SolverConfig, realization: int = 0,
                mu: float = 0.0, beta: float = 0.03) -> ReconResult:
-    """One solver run against one noise realization of a dataset."""
-    b = dataset.noisy[realization]
+    """One solver run against one noise realization of a dataset: the
+    fidelity's baseline (BASELINES) or a penalty kind."""
+    if fidelity not in BASELINES:
+        raise ValueError(f"unknown fidelity {fidelity!r}")
     kind = make_penalty(method, mu=mu, beta=beta)
-    if fidelity == "ls":
-        if method == "cgls":
-            return cgls(A, b, cfg.outer_iters, ground_truth=dataset.ground_truth)
-        return fixed_point_reconstruct(A, b, kind, cfg,
-                                       ground_truth=dataset.ground_truth)
+    if kind is None and method != BASELINES[fidelity]:
+        raise ValueError(f"method {method!r} is not supported with "
+                         f"fidelity {fidelity!r}")
+    b, truth = dataset.noisy[realization], dataset.ground_truth
     if fidelity == "poisson":
-        return mlem_split_reconstruct(A, b, kind, cfg,
-                                      ground_truth=dataset.ground_truth)
-    raise ValueError(f"unknown fidelity {fidelity!r}")
+        return mlem_split_reconstruct(A, b, kind, cfg, ground_truth=truth)
+    if kind is None:
+        return cgls(A, b, cfg.outer_iters, ground_truth=truth)
+    return fixed_point_reconstruct(A, b, kind, cfg, ground_truth=truth)
 
 
 def _probe_scale(A: SparseOperator, dataset: Dataset, kind: Penalty,
@@ -308,7 +314,7 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
     if A is None:
         A = build_projector(dataset.recon_projector)
     fidelity = "poisson" if dataset.kind == "et" else "ls"
-    baseline = "mlem" if fidelity == "poisson" else "cgls"
+    baseline = BASELINES[fidelity]
     has_regions = dataset.gr is not None and dataset.br is not None
 
     def sweep_spec(method, param, center, alpha=0.0):

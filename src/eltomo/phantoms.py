@@ -153,6 +153,7 @@ _SUPPORT_AMPLITUDE = 0.5
 _ANNULUS_INNER = 0.18
 _ANNULUS_OUTER = 0.42
 _LOBES = ((0.40, 35.0, 0.11), (0.38, 215.0, 0.13))  # (offset, deg, radius)
+_SPOT_DRAWS = 10 ** 6  # rejection draws before a grid counts as too small
 
 
 def _support_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ def et_phantom_components(grid: GridSpec, seed: int):
     rng = np.random.default_rng(seed)
     h = 1.0 / grid.nx
     spots: list[Gaussian] = []
-    while len(spots) < 6:
+    for _ in range(_SPOT_DRAWS):
         sigma = rng.uniform(2.0, 8.0) * h
         cx, cy = rng.uniform(0.0, 1.0, size=2)
         margin = 4.0 * sigma
@@ -192,7 +193,10 @@ def et_phantom_components(grid: GridSpec, seed: int):
         if any(np.hypot(cx - s.cx, cy - s.cy) < 0.08 for s in spots):
             continue
         spots.append(Gaussian(cx, cy, sigma, rng.uniform(0.4, 1.0)))
-    return support, spots
+        if len(spots) == 6:
+            return support, spots
+    raise ValueError(f"cannot place 6 hot spots on a {grid.nx}x{grid.ny} "
+                     f"grid in {_SPOT_DRAWS} draws; use a larger grid")
 
 
 def generate_et_phantom(grid: GridSpec, seed: int

@@ -3,23 +3,30 @@
 * cgls: conjugate-gradient least squares baseline (no penalty).
 * fixed_point_reconstruct: outer fixed-point iterations that freeze the
   penalty diagonals, take inner_iters preconditioned CG steps on the
-  quadratic step equation (A'A + R) s = -g, and re-freeze.
-  Inner CG stops early only on breakdown; rho bounds |s|^2 of the outer
-  step, which ends the run.
+  quadratic step equation (A'A + R) s = -g, and re-freeze. Every solve
+  is preconditioned, alpha = 0 included: there R = 0 and M^-1 is the
+  scalar 1 / sigma^2. Inner CG stops early only on breakdown.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   followed by a few explicit denoising steps against the frozen penalty
   matrix. Each iterate is forward-projected once: the projection that
-  gives its fidelity also feeds the next EM update. rho bounds the
-  squared change of the iterate, which ends the run.
+  gives its fidelity also feeds the next EM update. Its step s is the
+  change of the iterate.
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
+
+The three reconstructions share one outer loop, _run. It takes a
+solver's generator of (u, fidelity, penalty, |s|^2), one item per outer
+iteration, records the history and stops after the first item with
+|s|^2 <= rho (cgls passes -inf). terminated_early is True after that
+stop, even on the last allowed iteration, or after a cgls breakdown (a
+zero search direction); otherwise False.
 
 R is the penalty matrix alpha R(u) of the regularizers module, with the
 weight alpha in its diagonals, and the history's penalty is the
 weighted penalty_value, so each record's objective is fidelity +
 penalty.
 
-The preconditioner of every regularized fixed-point solve approximates
+The preconditioner of every fixed-point solve approximates
 H = sigma^2 I + R, R = sum_t D_t' diag(w_t) D_t, by M^-1 = S C^-1 S.
 C = sigma^2 I + sum_t median(w_t) D_t'D_t has constant coefficients,
 and the 2-D DCT-II diagonalizes each Neumann stencil product D_t'D_t
@@ -51,6 +58,7 @@ verify_error_bound, a dense desk-scale diagnostic, uses LAPACK.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import weakref
@@ -120,15 +128,6 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def norm(a: np.ndarray) -> float:
     """The l2 norm of a 1-D array, as ``dot`` sums it."""
     return math.sqrt(dot(a, a))
-
-
-def _relative_rmse(truth: Image | None):
-    """u -> |u - truth| / |truth|, or None without a truth."""
-    if truth is None:
-        return lambda u: None
-    t = truth.ravel()
-    scale = np.float64(norm(t))  # a zero truth reads inf or nan
-    return lambda u: float(norm(u - t) / scale)
 
 
 def _check_finite(u: np.ndarray, where: str) -> None:
@@ -207,6 +206,29 @@ def penalty_eigenvalue(m: sp.csr_matrix) -> float:
     return float(np.max(w / v))
 
 
+# --- the outer loop the three solvers share -----------------------------
+
+def _run(grid: GridSpec, u0: np.ndarray, steps, iters: int, rho: float,
+         ground_truth: Image | None) -> ReconResult:
+    """Record the first ``iters`` (u, fidelity, penalty, step_norm2)
+    items of ``steps`` with the error |u - truth| / |truth| (None without
+    a truth, inf or nan for a zero one), stopping after the first with
+    step_norm2 <= rho. The run ends early on that stop, or when ``steps``
+    runs out first (a cgls breakdown); u0 is the image if it yields
+    nothing."""
+    truth = None if ground_truth is None else ground_truth.ravel()
+    scale = None if truth is None else np.float64(norm(truth))
+    u = u0
+    history: list[HistoryRecord] = []
+    for k, (u, fid, pen, step2) in enumerate(
+            itertools.islice(steps, iters), start=1):
+        err = None if truth is None else float(norm(u - truth) / scale)
+        history.append(HistoryRecord(k, fid + pen, fid, pen, step2, err))
+        if step2 <= rho:
+            return ReconResult(Image(grid, u), history, True)
+    return ReconResult(Image(grid, u), history, len(history) < iters)
+
+
 # --- CGLS ----------------------------------------------------------------
 
 def cgls(A: SparseOperator, b: Sinogram, iters: int,
@@ -217,44 +239,40 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
     bv = b.ravel()
     if bv.size != A.nrows:
         raise ValueError("sinogram does not match operator shape")
-    relative_rmse = _relative_rmse(ground_truth)
     x = np.zeros(A.ncols)
-    r = bv.copy()
-    s = A.apply_adjoint(r)
-    p = s.copy()
-    gamma = dot(s, s)
-    history: list[HistoryRecord] = []
-    broke = False
-    for k in range(iters):
-        q = A.apply(p)
-        delta = dot(q, q)
-        if delta <= 0.0:
-            broke = True
-            break
-        a = gamma / delta
-        x += a * p
-        r -= a * q
-        _check_finite(x, "cgls")
+
+    def steps(x):
+        r = bv.copy()
         s = A.apply_adjoint(r)
-        gamma_new = dot(s, s)
-        fid = 0.5 * dot(r, r)
-        history.append(HistoryRecord(
-            iteration=k + 1, objective=fid, fidelity=fid, penalty=0.0,
-            step_norm2=a * a * dot(p, p), rmse=relative_rmse(x)))
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
-    return ReconResult(Image(A.spec.grid, x), history, terminated_early=broke)
+        p = s.copy()
+        gamma = dot(s, s)
+        while True:
+            q = A.apply(p)
+            delta = dot(q, q)
+            if delta <= 0.0:
+                return
+            a = gamma / delta
+            x += a * p
+            r -= a * q
+            _check_finite(x, "cgls")
+            s = A.apply_adjoint(r)
+            gamma_new = dot(s, s)
+            yield x, 0.5 * dot(r, r), 0.0, a * a * dot(p, p)
+            p = s + (gamma_new / gamma) * p
+            gamma = gamma_new
+
+    return _run(A.spec.grid, x, steps(x), iters, -math.inf, ground_truth)
 
 
 # --- inner CG ------------------------------------------------------------
 
 def _cg(apply_h, rhs: np.ndarray, max_iters: int,
-        apply_m=None) -> tuple[np.ndarray, int]:
-    """max_iters CG steps on the SPD system H s = rhs from s = 0; fewer
-    only on breakdown (p'Hp <= 0, as at once for a zero rhs)."""
+        apply_m) -> tuple[np.ndarray, int]:
+    """max_iters CG steps on the SPD system H s = rhs from s = 0 with the
+    preconditioner apply_m; fewer only on breakdown (p'Hp <= 0)."""
     s = np.zeros_like(rhs)
     r = rhs.copy()
-    z = apply_m(r) if apply_m is not None else r
+    z = apply_m(r)
     p = z.copy()
     rz = dot(r, z)
     iters = 0
@@ -269,7 +287,7 @@ def _cg(apply_h, rhs: np.ndarray, max_iters: int,
         if iters == max_iters:
             break  # the next residual would not be read
         r -= a * hp
-        z = apply_m(r) if apply_m is not None else r
+        z = apply_m(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -326,57 +344,40 @@ def _factorized_preconditioner(R: RegularizerMatrix, sigma: float,
 
 # --- fixed-point solver (least-squares fidelity) --------------------------
 
-def fixed_point_reconstruct(A: SparseOperator, b: Sinogram,
-                            kind: Penalty | None, cfg: SolverConfig,
+def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
+                            cfg: SolverConfig,
                             ground_truth: Image | None = None) -> ReconResult:
     """Outer iterations freeze the penalty diagonals at the current
     iterate, then preconditioned CG approximately solves (A'A + R) s =
-    -g. With alpha = 0 it is Gauss-Newton on the data term, by plain CG."""
+    -g. At alpha = 0, R = 0 and the preconditioner is the scalar
+    1 / sigma^2: Gauss-Newton on the data term."""
     bv = b.ravel()
     if bv.size != A.nrows:
         raise ValueError("sinogram does not match operator shape")
+    grid = A.spec.grid
     alpha = cfg.alpha
-    regularized = kind is not None and alpha > 0
-    relative_rmse = _relative_rmse(ground_truth)
-
+    sigma = _operator_sigma(A)
     u = np.zeros(A.ncols)
-    au = np.zeros(A.nrows)
-    sigma = _operator_sigma(A) if regularized else None
 
-    history: list[HistoryRecord] = []
-    terminated = False
-    for nu in range(cfg.outer_iters):
-        if regularized:
-            R = build_gradient_matrix(kind, Image(A.spec.grid, u), alpha)
+    def steps(u, au):
+        while True:
+            R = build_gradient_matrix(kind, Image(grid, u), alpha)
             grad = A.apply_adjoint(au - bv) + R.matrix @ u
 
             def apply_h(v, _r=R.matrix):
                 return A.apply_adjoint(A.apply(v)) + _r @ v
 
-            apply_m = _factorized_preconditioner(R, sigma, A.spec.grid)
-        else:
-            grad = A.apply_adjoint(au - bv)
-            apply_m = None
+            apply_m = _factorized_preconditioner(R, sigma, grid)
+            s, _ = _cg(apply_h, -grad, cfg.inner_iters, apply_m)
+            u = u + s
+            _check_finite(u, "fixed_point_reconstruct")
+            au = A.apply(u)
+            fid = 0.5 * float(np.sum((au - bv) ** 2))
+            pen = penalty_value(kind, Image(grid, u), alpha)
+            yield u, fid, pen, dot(s, s)
 
-            def apply_h(v):
-                return A.apply_adjoint(A.apply(v))
-
-        s, _ = _cg(apply_h, -grad, cfg.inner_iters, apply_m=apply_m)
-        u = u + s
-        _check_finite(u, "fixed_point_reconstruct")
-        au = A.apply(u)
-
-        fid = 0.5 * float(np.sum((au - bv) ** 2))
-        pen = (penalty_value(kind, Image(A.spec.grid, u), alpha)
-               if regularized else 0.0)
-        step2 = dot(s, s)
-        history.append(HistoryRecord(
-            iteration=nu + 1, objective=fid + pen, fidelity=fid,
-            penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
-        if step2 <= cfg.rho:
-            terminated = True
-            break
-    return ReconResult(Image(A.spec.grid, u), history, terminated)
+    return _run(grid, u, steps(u, np.zeros(A.nrows)), cfg.outer_iters,
+                cfg.rho, ground_truth)
 
 
 # --- MLEM splitting (Poisson fidelity) ------------------------------------
@@ -392,9 +393,9 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
         raise ValueError("sinogram does not match operator shape")
     if np.any(bv < 0):
         raise ValueError("Poisson data must be nonnegative")
+    grid = A.spec.grid
     alpha = cfg.alpha
     regularized = kind is not None and alpha > 0
-    relative_rmse = _relative_rmse(ground_truth)
 
     u = np.ones(A.ncols)
     sens = A.apply_adjoint(np.ones(A.nrows))
@@ -404,41 +405,36 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
     floor = 1e-12 * float(np.max(q))
     if floor <= 0.0:
         raise NumericalError("projector maps the unit image to zero")
-    q = np.maximum(q, floor)
 
-    history: list[HistoryRecord] = []
-    terminated = False
-    for nu in range(cfg.outer_iters):
-        # q is the floored projection of u, carried over from the
-        # fidelity of the previous iteration
-        u_half = u / sens_safe * A.apply_adjoint(bv / q)
-        u_half[dead] = 0.0
-        _check_finite(u_half, "mlem step")
+    def steps(u, q):
+        while True:
+            # q is the floored projection of u, carried over from the
+            # fidelity of the previous iteration
+            u_half = u / sens_safe * A.apply_adjoint(bv / q)
+            u_half[dead] = 0.0
+            _check_finite(u_half, "mlem step")
 
-        if regularized:
-            R = build_gradient_matrix(kind, Image(A.spec.grid, u_half), alpha)
-            tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
-            f = u_half.copy()
-            for _ in range(cfg.inner_iters):
-                f = f - tau * ((f - u_half) + R.matrix @ f)
-            u_new = np.maximum(f, 0.0)
-        else:
-            u_new = u_half
-        _check_finite(u_new, "mlem denoising")
+            if regularized:
+                R = build_gradient_matrix(kind, Image(grid, u_half), alpha)
+                tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
+                f = u_half.copy()
+                for _ in range(cfg.inner_iters):
+                    f = f - tau * ((f - u_half) + R.matrix @ f)
+                u_new = np.maximum(f, 0.0)
+            else:
+                u_new = u_half
+            _check_finite(u_new, "mlem denoising")
 
-        q = np.maximum(A.apply(u_new), floor)
-        fid = float(np.sum(q - bv * np.log(q)))
-        pen = (penalty_value(kind, Image(A.spec.grid, u_new), alpha)
-               if regularized else 0.0)
-        step2 = float(np.sum((u_new - u) ** 2))
-        u = u_new
-        history.append(HistoryRecord(
-            iteration=nu + 1, objective=fid + pen, fidelity=fid,
-            penalty=pen, step_norm2=step2, rmse=relative_rmse(u)))
-        if step2 <= cfg.rho:
-            terminated = True
-            break
-    return ReconResult(Image(A.spec.grid, u), history, terminated)
+            q = np.maximum(A.apply(u_new), floor)
+            fid = float(np.sum(q - bv * np.log(q)))
+            pen = (penalty_value(kind, Image(grid, u_new), alpha)
+                   if regularized else 0.0)
+            step2 = float(np.sum((u_new - u) ** 2))
+            u = u_new
+            yield u, fid, pen, step2
+
+    return _run(grid, u, steps(u, np.maximum(q, floor)), cfg.outer_iters,
+                cfg.rho, ground_truth)
 
 
 # --- regularization-error bound diagnostic --------------------------------

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,23 @@ def test_cgls_poisson_pair_rejected(ct_dataset, tmp_path):
     code = _run("reconstruct", "--dataset", ct_dataset, "--method", "cgls",
                 "--fidelity", "poisson", "--out", tmp_path / "r")
     assert code == 2
+
+
+def test_emission_grid_too_small_for_its_hot_spots(tmp_path):
+    # at 16^2 no hot spot fits inside its 4-sigma margin; a subprocess
+    # with a timeout, so that an endless rejection loop fails the test
+    # instead of stalling the suite
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "eltomo.cli", "simulate", "--experiment", "et",
+         "--et-n", "16", "--out", str(tmp_path / "et")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "16x16" in lines[0]
 
 
 def test_missing_dataset_is_io_error(tmp_path):

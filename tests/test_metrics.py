@@ -107,7 +107,7 @@ def test_alpha_to_zero_approaches_unregularized(small_ct):
     ds, A = small_ct
     sigma2 = 1.0  # order-one operator scale for this geometry
     cfg0 = SolverConfig(outer_iters=6, inner_iters=4, rho=1e-30, alpha=0.0)
-    base = fixed_point_reconstruct(A, ds.noisy[0], None, cfg0,
+    base = fixed_point_reconstruct(A, ds.noisy[0], tikhonov(), cfg0,
                                    ground_truth=ds.ground_truth)
     cfg = SolverConfig(outer_iters=6, inner_iters=4, rho=1e-30,
                        alpha=1e-10 * sigma2)
@@ -116,6 +116,16 @@ def test_alpha_to_zero_approaches_unregularized(small_ct):
     r0 = base.history[-1].rmse
     r1 = tiny.history[-1].rmse
     assert abs(r1 - r0) <= 0.02 * r0
+
+
+@pytest.mark.parametrize("method,fidelity,data", [
+    ("cgls", "poisson", "small_et"), ("mlem", "ls", "small_ct")])
+def test_baseline_of_the_other_fidelity_is_rejected(method, fidelity, data,
+                                                    request):
+    # each pair's data suit its fidelity, so only the method is wrong
+    ds, A = request.getfixturevalue(data)
+    with pytest.raises(ValueError, match="not supported"):
+        run_method(A, ds, method, fidelity, SolverConfig(outer_iters=2))
 
 
 def test_sweep_validation():

@@ -59,6 +59,17 @@ def test_cgls_identity_converges_in_one_iteration(rng):
     assert_allclose(res.image.ravel(), b.ravel(), rtol=1e-12)
 
 
+def test_cgls_breakdown_ends_the_run_early(rng):
+    # on the identity the first step is exact, so the next search
+    # direction is zero: a breakdown, not a stop by the iteration budget
+    A = _synthetic_operator(sp.identity(16, format="csr"))
+    b = Sinogram(A.spec.angles, 16, rng.standard_normal(16))
+    res = cgls(A, b, 3)
+    assert len(res.history) == 1
+    assert res.terminated_early
+    assert not cgls(A, b, 1).terminated_early
+
+
 def test_cgls_matches_dense_solve(rng):
     m = rng.standard_normal((16, 16)) + 4.0 * np.eye(16)
     A = _synthetic_operator(sp.csr_matrix(m))
@@ -157,13 +168,14 @@ def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
 
     rhs = A.apply_adjoint(ds.noisy[0].ravel())
     apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
-    plain, _ = solvers._cg(apply_h, rhs, 400)
+    plain, _ = solvers._cg(apply_h, rhs, 400, lambda r: r)
     precond, _ = solvers._cg(apply_h, rhs, 400, apply_m=apply_m)
     assert np.linalg.norm(plain - precond) <= 1e-8 * np.linalg.norm(plain)
 
     # with a modest step budget the preconditioned step gets much closer
     # to the converged one: the stiff penalty term is what CG chokes on
-    err_plain = np.linalg.norm(solvers._cg(apply_h, rhs, 12)[0] - precond)
+    err_plain = np.linalg.norm(
+        solvers._cg(apply_h, rhs, 12, lambda r: r)[0] - precond)
     err_pre = np.linalg.norm(
         solvers._cg(apply_h, rhs, 12, apply_m=apply_m)[0] - precond)
     assert err_pre < err_plain
@@ -214,6 +226,21 @@ def test_early_stop_on_small_steps(small_ct):
     assert res.terminated_early
     assert len(res.history) < 60
     assert res.history[-1].step_norm2 <= 1e2
+
+
+def test_step_test_on_the_last_iteration_ends_the_run_early(small_ct):
+    ds, A = small_ct
+    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-30, alpha=1e-7)
+    steps = [h.step_norm2
+             for h in fixed_point_reconstruct(A, ds.noisy[0], el(),
+                                              cfg).history]
+    assert len(steps) == 4 and min(steps[:3]) > steps[3]
+    # the test first passes on the last allowed iteration
+    for rho, early in ((steps[3], True), (0.5 * steps[3], False)):
+        cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=rho, alpha=1e-7)
+        res = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
+        assert [h.step_norm2 for h in res.history] == steps
+        assert res.terminated_early == early
 
 
 def test_mlem_noiseless_truth_is_fixed_point():
@@ -280,6 +307,30 @@ def test_mlem_projects_each_iterate_once(kind, alpha, rho, monkeypatch):
                      "apply_adjoint": len(res.history) + 1}
 
 
+@pytest.mark.parametrize("rho", [1e-30, 1e30], ids=["all", "early-stop"])
+def test_fixed_point_projector_calls(rho, monkeypatch):
+    A = _operator(16, 24)  # a fresh operator, whose sigma is not known yet
+    truth = _blob_truth(A.spec.grid)
+    b = forward(A, truth)
+    calls = {"apply": 0, "apply_adjoint": 0}
+    for name in calls:
+        original = getattr(SparseOperator, name)
+
+        def counted(self, v, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, v)
+
+        monkeypatch.setattr(SparseOperator, name, counted)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho, alpha=3e-9)
+    res = fixed_point_reconstruct(A, b, el(), cfg)
+    assert len(res.history) == (1 if rho > 1.0 else cfg.outer_iters)
+    # sigma's 10 power steps on A'A, then per outer iteration the
+    # gradient's A', inner_iters products with A'A and the new Au
+    per_outer = cfg.inner_iters + 1
+    assert calls == {"apply": 10 + per_outer * len(res.history),
+                     "apply_adjoint": 10 + per_outer * len(res.history)}
+
+
 def test_mlem_rejects_negative_data():
     A = _operator(8, 6)
     values = -np.ones(A.nrows)
@@ -339,7 +390,7 @@ def test_non_finite_data_aborts():
     b = Sinogram(A.spec.angles, A.spec.nbins, huge)
     cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=0.0)
     with pytest.raises((NumericalError, ValueError)):
-        fixed_point_reconstruct(A, b, None, cfg)
+        fixed_point_reconstruct(A, b, tikhonov(), cfg)
 
 
 def _top_eigenvalue(m):
@@ -480,7 +531,7 @@ def test_cg_takes_max_iters_steps(rng):
     b = rng.standard_normal((40, 40))
     h = b @ b.T + np.eye(40)
     rhs = rng.standard_normal(40)
-    for apply_m in (None, lambda r: r / np.diag(h)):
+    for apply_m in (lambda r: r, lambda r: r / np.diag(h)):
         for k in (1, 7, 25):
             s, iters = solvers._cg(lambda v: h @ v, rhs, k, apply_m=apply_m)
             assert iters == k
@@ -489,7 +540,7 @@ def test_cg_takes_max_iters_steps(rng):
 
 def test_cg_zero_rhs_gives_zero_step():
     h = np.diag(np.arange(1.0, 11.0))
-    s, iters = solvers._cg(lambda v: h @ v, np.zeros(10), 5)
+    s, iters = solvers._cg(lambda v: h @ v, np.zeros(10), 5, lambda r: r)
     assert iters == 0
     assert not s.any()
 
