@@ -154,6 +154,11 @@ _ANNULUS_INNER = 0.18
 _ANNULUS_OUTER = 0.42
 _LOBES = ((0.40, 35.0, 0.11), (0.38, 215.0, 0.13))  # (offset, deg, radius)
 _SPOT_DRAWS = 10 ** 6  # rejection draws before a grid counts as too small
+# every support point is at least a gap of min(inner radius, lobe offset
+# - lobe radius) from the centre, so |x - 0.5| or |y - 0.5| is at least
+# gap / sqrt(2), and no point lies deeper inside the unit square than:
+_SUPPORT_DEPTH = 0.5 - min([_ANNULUS_INNER] + [off - rad for off, _, rad
+                                               in _LOBES]) / np.sqrt(2.0)
 
 
 def _support_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,8 +184,14 @@ def et_phantom_components(grid: GridSpec, seed: int):
     x, y = np.meshgrid(xn, xn)
     support = _support_indicator(x, y)
 
-    rng = np.random.default_rng(seed)
     h = 1.0 / grid.nx
+    if 8.0 * h > _SUPPORT_DEPTH:  # the 4-sigma margin of sigma = 2 pixels
+        raise ValueError(
+            f"cannot place hot spots on a {grid.nx}x{grid.ny} grid: the "
+            f"smallest spot's 4-sigma margin, 8 pixels = {8.0 * h:.3f}, "
+            f"exceeds the deepest support point's {_SUPPORT_DEPTH:.3f}; "
+            f"use a larger grid")
+    rng = np.random.default_rng(seed)
     spots: list[Gaussian] = []
     for _ in range(_SPOT_DRAWS):
         sigma = rng.uniform(2.0, 8.0) * h

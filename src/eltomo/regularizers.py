@@ -23,11 +23,11 @@ identity). The diagonals are evaluated from the iterate supplied at
 build time and then frozen, which is what makes the inner problems of
 the fixed-point solver linear.
 
-Every matrix but the identity has the form sum_t D_t' diag(w_t) D_t, so
-its entries are linear in the stacked diagonals. The sorted CSR pattern
-and the sparse map from the diagonals to the pattern's values are built
-once per grid and stencil set; each matrix is then filled by one sparse
-matrix-vector product.
+Every matrix but the identity has the form sum_t D_t' diag(w_t) D_t.
+Each D_t has two or three bands, so the sum is banded: 5 diagonals for
+tv (offsets 0, +-1, +-nx), 9 for el and tvl2 (also +-2, +-2 nx). It is
+stored by diagonals (scipy's DIA format), each filled in closed form
+from the bands and the frozen diagonals w_t.
 
 The edge weights wx, wy lie in (0, 1]: they equal 1 where the image is
 flat and drop toward 0 where the first derivative is large relative to
@@ -39,7 +39,6 @@ smoothing) instead of dividing by zero.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,7 @@ class RegularizerMatrix:
     images, with the stencil names and frozen diagonals of its form
     sum_t D_t' diag(w_t) D_t (both empty for tikhonov's alpha I)."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     stencils: tuple[str, ...] = ()
     weights: tuple[np.ndarray, ...] = ()
 
@@ -136,123 +135,53 @@ def second_y(v: np.ndarray, hy: float) -> np.ndarray:
     return (p[2:, :] - 2.0 * p[1:-1, :] + p[:-2, :]) / hy ** 2
 
 
-def _d1(n: int, h: float) -> sp.csr_matrix:
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=np.int64)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    vals = np.tile([-1.0 / h, 1.0 / h], n - 1)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _d2(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    m = sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1],
-                 format="csr")
-    return (m / h ** 2).tocsr()
-
-
-def _stencil(grid: GridSpec, name: str) -> sp.csr_matrix:
-    """One of the difference stencils dx, dy, lx, ly on flattened images."""
-    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
-    if name == "dx":
-        return sp.kron(iy, _d1(grid.nx, grid.hx), format="csr")
-    if name == "dy":
-        return sp.kron(_d1(grid.ny, grid.hy), ix, format="csr")
-    if name == "lx":
-        return sp.kron(iy, _d2(grid.nx, grid.hx), format="csr")
-    return sp.kron(_d2(grid.ny, grid.hy), ix, format="csr")
-
-
-@dataclass(frozen=True)
-class _Fill:
-    """Fixed CSR pattern of sum_t D_t' diag(w_t) D_t and the sparse map
-    from the stacked weights concat(w_t) to its data:
-    fill[(i, j), t*n + k] = D_t[k, i] * D_t[k, j]."""
-
-    fill: sp.csc_matrix
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-# the lock makes sweep runs that start together build a grid's map once
-_FILL_CACHE: dict[tuple[GridSpec, tuple[str, ...]], _Fill] = {}
-_FILL_LOCK = threading.Lock()
-
-
-def _row_pairs(d: sp.csr_matrix):
-    """Every ordered pair of entries sharing a row of d, row by row and
-    in column order within a row, as (column of the first, column of the
-    second, product of the two values)."""
-    lens = np.diff(d.indptr)
-    reps = np.repeat(lens, lens)  # the length of each entry's row
-    first = np.repeat(np.arange(d.nnz, dtype=d.indptr.dtype), reps)
-    # the second entry runs over the first one's row
-    second = np.repeat(d.indptr[:-1], lens * lens)
-    second += np.arange(first.size, dtype=second.dtype)
-    second -= np.repeat(np.cumsum(reps, dtype=second.dtype) - reps, reps)
-    return (d.indices[first], d.indices[second],
-            d.data[first] * d.data[second])
-
-
-def _fill_map(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
-    """The _Fill of the stencils `names`, built once per grid."""
-    key = (grid, names)
-    with _FILL_LOCK:
-        cached = _FILL_CACHE.get(key)
-        if cached is None:
-            cached = _FILL_CACHE[key] = _build_fill(grid, names)
-    return cached
-
-
-def _build_fill(grid: GridSpec, names: tuple[str, ...]) -> _Fill:
-    """The _Fill of the stencils `names`; the stencils themselves are
-    dropped once it is built.
-
-    The pattern is the structure of sum_t |D_t|' |D_t|, whose positive
-    entries cannot cancel. Each stencil row's pairs are then looked up
-    in it, and since they come in the pattern's order, they form the
-    map's columns as they are, with no sort.
-    """
-    n = grid.npixels
-    stencils = [_stencil(grid, name) for name in names]
-    for d in stencils:
-        d.sort_indices()  # the pairs' order below relies on it
-    pattern = sum(abs(d).T @ abs(d) for d in stencils).tocsr()
-    pattern.sort_indices()
-    indices, indptr = pattern.indices, pattern.indptr
-    del pattern
-    idx_dtype = indices.dtype
-    # the pattern with each entry's position as its value
-    where = sp.csr_array((np.arange(indices.size, dtype=idx_dtype),
-                          indices, indptr), shape=(n, n))
-    counts = np.concatenate([np.diff(d.indptr) ** 2 for d in stencils])
-    colptr = np.zeros(counts.size + 1, dtype=idx_dtype)
-    np.cumsum(counts, out=colptr[1:])
-    positions = np.empty(colptr[-1], dtype=idx_dtype)
-    coefs = np.empty(colptr[-1])
-    for t, d in enumerate(stencils):
-        i, j, c = _row_pairs(d)
-        part = slice(colptr[t * n], colptr[(t + 1) * n])
-        positions[part] = where[i, j]
-        coefs[part] = c
-    fill = sp.csc_matrix((coefs, positions, colptr),
-                         shape=(indices.size, len(names) * n))
-    # every matrix filled on this pattern shares these two arrays
-    indices.flags.writeable = False
-    indptr.flags.writeable = False
-    return _Fill(fill, indices, indptr)
+def _bands(grid: GridSpec, name: str) -> dict[int, np.ndarray]:
+    """The stencil `name` (dx, dy, lx or ly) on flattened images as
+    {offset o: c} with D[k, k + o] = c[k], each c shaped to broadcast
+    over (ny, nx) images; c[k] is 0 where row k has no entry at o."""
+    along_x = name in ("dx", "lx")
+    n, h = (grid.nx, grid.hx) if along_x else (grid.ny, grid.hy)
+    p = np.arange(n)  # the position along the stencil's axis
+    if name in ("dx", "dy"):
+        inner = p < n - 1
+        bands = {0: np.where(inner, -1.0 / h, 0.0),
+                 1: np.where(inner, 1.0 / h, 0.0)}
+    else:
+        end = (p == 0) | (p == n - 1)
+        bands = {-1: np.where(p > 0, 1.0 / h ** 2, 0.0),
+                 0: np.where(end, -1.0 / h ** 2, -2.0 / h ** 2),
+                 1: np.where(p < n - 1, 1.0 / h ** 2, 0.0)}
+    step, shape = (1, (1, n)) if along_x else (grid.nx, (n, 1))
+    return {o * step: c.reshape(shape) for o, c in bands.items()}
 
 
 def _assemble(grid: GridSpec, names: tuple[str, ...],
-              weights: tuple[np.ndarray, ...]) -> sp.csr_matrix:
-    """sum_t D_t' diag(weights[t]) D_t over the stencils `names`, filled
-    on the cached pattern by one sparse matvec."""
-    f = _fill_map(grid, names)
-    data = f.fill @ np.concatenate([w.ravel() for w in weights])
-    return sp.csr_matrix((data, f.indices, f.indptr),
-                         shape=(grid.npixels, grid.npixels))
+              weights: tuple[np.ndarray, ...]) -> sp.dia_matrix:
+    """sum_t D_t' diag(weights[t]) D_t over the stencils `names`.
+
+    Row k of D_t adds (c_o1[k] c_o2[k]) w_t[k] to the entry
+    (k + o1, k + o2) on the diagonal o2 - o1. Each entry sums its terms
+    stencil by stencil, then in increasing k (decreasing o1), so its
+    rounding is fixed; a matvec adds a row's diagonals in increasing
+    offset, i.e. column, order, as a CSR one does. The diagonals below
+    the main one are copies of those above: entry (j + d, j) sums the
+    same terms as (j, j + d)."""
+    n = grid.npixels
+    bands = [_bands(grid, name) for name in names]
+    offsets = sorted({o2 - o1 for b in bands for o1 in b for o2 in b})
+    row = {o: i for i, o in enumerate(offsets)}
+    data = np.zeros((len(offsets), n))  # data[row[o], j] holds (j - o, j)
+    for b, w in zip(bands, weights):
+        w = w.reshape(grid.ny, grid.nx)
+        for o1 in sorted(b, reverse=True):
+            for o2 in (o for o in b if o >= o1):
+                term = ((b[o1] * b[o2]) * w).ravel()
+                lo, hi = max(0, -o1), min(n, n - o2)
+                data[row[o2 - o1], lo + o2:hi + o2] += term[lo:hi]
+    for d in offsets:
+        if d > 0:
+            data[row[-d], :n - d] = data[row[d], d:]
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 
 # --- penalty machinery --------------------------------------------------
@@ -323,7 +252,7 @@ def build_gradient_matrix(kind: Penalty, u: Image,
     """The symmetric gradient matrix alpha R(u), frozen at the iterate u."""
     if kind.kind == "tikhonov":
         return RegularizerMatrix(alpha * sp.identity(u.grid.npixels,
-                                                     format="csr"))
+                                                     format="dia"))
     names, weights = _terms(kind, u, alpha)
     return RegularizerMatrix(_assemble(u.grid, names, weights), names,
                              weights)

@@ -187,7 +187,7 @@ def _operator_sigma(A: SparseOperator) -> float:
 _BOUND_STEPS = 4
 
 
-def penalty_eigenvalue(m: sp.csr_matrix) -> float:
+def penalty_eigenvalue(m: sp.dia_matrix) -> float:
     """A guaranteed upper bound on the largest eigenvalue of a penalty
     matrix m: the Collatz-Wielandt bound max_i (|m| v)_i / v_i at the
     last vector v of _BOUND_STEPS power steps on |m| (Horn & Johnson,
@@ -200,8 +200,7 @@ def penalty_eigenvalue(m: sp.csr_matrix) -> float:
     so v stays positive. For the tv, tvl2 and el stencils |m| is m with
     the sign of every other pixel flipped in a checkerboard (D m D,
     D = diag(+-1)), so the two share their spectrum."""
-    # scipy's abs() would copy the index arrays too
-    absm = sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape)
+    absm = abs(m)
     v, w = power_iteration(lambda x: absm @ x, m.shape[0], _BOUND_STEPS)
     return float(np.max(w / v))
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eltomo import (GridSpec, PhantomDescriptor, Rectangle,
                     default_ct_descriptor, generate_ct_phantom,
                     generate_et_phantom, load_descriptor, save_descriptor)
+from eltomo import phantoms
 from eltomo.phantoms import evaluate_descriptor, et_phantom_components
 
 
@@ -80,6 +81,15 @@ def test_et_regions_disjoint_and_nonempty():
 def test_et_rejects_non_square_grid():
     with pytest.raises(ValueError):
         generate_et_phantom(GridSpec(64, 32), seed=0)
+
+
+def test_et_grid_too_small_is_rejected_before_drawing(monkeypatch):
+    # at 16^2 the smallest spot's 4-sigma margin, 8 pixels, reaches past
+    # the deepest support point, so no draw could be accepted; with a
+    # budget of 10 draws only the up-front check names the margin
+    monkeypatch.setattr(phantoms, "_SPOT_DRAWS", 10)
+    with pytest.raises(ValueError, match=r"16x16 grid: .*4-sigma margin"):
+        et_phantom_components(GridSpec(16, 16), seed=0)
 
 
 def test_et_gaussian_integrals_match_analytic():

@@ -1,6 +1,3 @@
-import threading
-import time
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +9,7 @@ from eltomo import (GridSpec, Image, build_gradient_matrix,
                     tv_l2)
 from eltomo import regularizers
 from eltomo.regularizers import (_EPS_REL, _GAMMA_REL, Penalty, _amplitude,
-                                 _grad_mag2, _stencil, frozen_quadratic)
+                                 _grad_mag2, frozen_quadratic)
 
 ALL_KINDS = (tikhonov(), tv(), tv_l2(mu=0.5), el())
 
@@ -178,6 +175,38 @@ def test_penalty_validation():
             Penalty("tvl2", mu=mu)
 
 
+# --- the difference stencils as sparse matrices, the reference the
+# assembled penalty matrices are checked against ---------------------------
+
+def _d1(n: int, h: float) -> sp.csr_matrix:
+    rows = np.repeat(np.arange(n - 1), 2)
+    cols = np.empty(2 * (n - 1), dtype=np.int64)
+    cols[0::2] = np.arange(n - 1)
+    cols[1::2] = np.arange(1, n)
+    vals = np.tile([-1.0 / h, 1.0 / h], n - 1)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _d2(n: int, h: float) -> sp.csr_matrix:
+    main = np.full(n, -2.0)
+    main[0] = main[-1] = -1.0
+    m = sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1],
+                 format="csr")
+    return (m / h ** 2).tocsr()
+
+
+def _stencil(grid: GridSpec, name: str) -> sp.csr_matrix:
+    """One of the difference stencils dx, dy, lx, ly on flattened images."""
+    ix, iy = sp.identity(grid.nx), sp.identity(grid.ny)
+    if name == "dx":
+        return sp.kron(iy, _d1(grid.nx, grid.hx), format="csr")
+    if name == "dy":
+        return sp.kron(_d1(grid.ny, grid.hy), ix, format="csr")
+    if name == "lx":
+        return sp.kron(iy, _d2(grid.nx, grid.hx), format="csr")
+    return sp.kron(_d2(grid.ny, grid.hy), ix, format="csr")
+
+
 def _triple_product(kind, u, alpha):
     """Oracle: the penalty matrix alpha R(u) as a sum of sparse triple
     products D' diag(w) D over the difference stencils."""
@@ -216,38 +245,13 @@ def _triple_product(kind, u, alpha):
 def test_fixed_pattern_fill_matches_triple_product(grid, kind, alpha, rng):
     img = Image(grid, gaussian_filter(
         rng.standard_normal((grid.ny, grid.nx)), 2.0) + 0.1)
-    m = build_gradient_matrix(kind, img, alpha=alpha).matrix
+    m = build_gradient_matrix(kind, img, alpha=alpha).matrix.tocsr()
     oracle = _triple_product(kind, img, alpha)
     assert m.has_canonical_format
     assert np.array_equal(m.indptr, oracle.indptr)
     assert np.array_equal(m.indices, oracle.indices)
     assert np.all(np.abs(m.data - oracle.data) <= 1e-15 * np.abs(oracle.data))
     assert (m != m.T).nnz == 0
-
-
-def test_concurrent_first_assemblies_build_the_fill_map_once(monkeypatch,
-                                                             rng):
-    grid = GridSpec(21, 17)  # a grid no other test assembles on
-    built = []
-    original = regularizers._build_fill
-
-    def slow(*args):
-        built.append(args)
-        time.sleep(0.1)  # the other thread asks for the map meanwhile
-        return original(*args)
-
-    monkeypatch.setattr(regularizers, "_build_fill", slow)
-    img = Image(grid, rng.random(grid.npixels) + 0.1)
-    got = []
-    threads = [threading.Thread(target=lambda: got.append(
-        build_gradient_matrix(tv(), img, alpha=1.0).matrix))
-        for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert len(got) == 2 and len(built) == 1
-    assert (got[0] != got[1]).nnz == 0
 
 
 def _fill_oracle(grid, names):
@@ -291,12 +295,12 @@ def _same_bytes(a, b):
                                    ("dx", "dy", "lx", "ly")],
                          ids=["tv", "el", "tvl2"])
 def test_fill_map_is_bytewise_the_unique_construction(grid, names, rng):
-    got = regularizers._build_fill(grid, names)
+    # the assembled matrix holds the fill map's pattern and values,
+    # summed in its order, byte for byte
     fill, indices, indptr = _fill_oracle(grid, names)
-    assert got.fill.shape == fill.shape
-    for a, b in ((got.fill.data, fill.data), (got.fill.indices, fill.indices),
-                 (got.fill.indptr, fill.indptr), (got.indices, indices),
-                 (got.indptr, indptr)):
-        assert _same_bytes(a, b)
     w = rng.random(fill.shape[1])
-    assert _same_bytes(got.fill @ w, fill @ w)
+    got = regularizers._assemble(grid, names,
+                                 tuple(np.split(w, len(names)))).tocsr()
+    for a, b in ((got.indptr, indptr), (got.indices, indices),
+                 (got.data, fill @ w)):
+        assert _same_bytes(a, b)

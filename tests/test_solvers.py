@@ -424,13 +424,14 @@ def test_penalty_eigenvalue_one_step_is_gershgorin(kind, rng, monkeypatch):
     R = _noisy_penalty(kind, rng)
     if kind.kind == "tikhonov":
         assert penalty_eigenvalue(R) == 1.0
-    # each row's absolute sum, added in index order as a CSR product
-    # adds it; the start vector's entries are 1/32, a power of two, so
-    # scaling by them rounds nothing and the two agree exactly
+    # each row's absolute sum, added in column order as a CSR or DIA
+    # product adds it; the start vector's entries are 1/32, a power of
+    # two, so scaling by them rounds nothing and the two agree exactly
+    csr = R.tocsr()
     sums = []
     for i in range(R.shape[0]):
         total = 0.0
-        for x in R.data[R.indptr[i]:R.indptr[i + 1]]:
+        for x in csr.data[csr.indptr[i]:csr.indptr[i + 1]]:
             total += abs(float(x))
         sums.append(total)
     monkeypatch.setattr(solvers, "_BOUND_STEPS", 1)
