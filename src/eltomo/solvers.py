@@ -5,7 +5,11 @@
   penalty diagonals, take inner_iters preconditioned CG steps on the
   quadratic step equation (A'A + R) s = -g, and re-freeze. Every solve
   is preconditioned, alpha = 0 included: there R = 0 and M^-1 is the
-  scalar 1 / sigma^2. Inner CG stops early only on breakdown.
+  scalar 1 / sigma^2. Inner CG stops early only on breakdown. Its
+  products A p and A'A p also give A s and A'A s, so the residual
+  Au - b and the gradient A'(Au - b) are carried from one iterate to
+  the next: an outer iteration makes inner_iters A/A' pairs, and a run
+  one more A', of b.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   followed by a few explicit denoising steps against the frozen penalty
   matrix. Each iterate is forward-projected once: the projection that
@@ -265,23 +269,31 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
 
 # --- inner CG ------------------------------------------------------------
 
-def _cg(apply_h, rhs: np.ndarray, max_iters: int,
-        apply_m) -> tuple[np.ndarray, int]:
-    """max_iters CG steps on the SPD system H s = rhs from s = 0 with the
-    preconditioner apply_m; fewer only on breakdown (p'Hp <= 0)."""
+def _cg(A: SparseOperator, R: sp.dia_matrix, rhs: np.ndarray, max_iters: int,
+        apply_m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """max_iters CG steps on the SPD system (A'A + R) s = rhs from s = 0
+    with the preconditioner apply_m; fewer only on breakdown (p'Hp <= 0).
+    Returns s, the step count, A s and A'A s, summed from the products
+    A p and A'A p that each step makes anyway."""
     s = np.zeros_like(rhs)
+    a_s = np.zeros(A.nrows)
+    ata_s = np.zeros_like(rhs)
     r = rhs.copy()
     z = apply_m(r)
     p = z.copy()
     rz = dot(r, z)
     iters = 0
     while iters < max_iters:
-        hp = apply_h(p)
+        ap = A.apply(p)
+        atap = A.apply_adjoint(ap)
+        hp = atap + R @ p
         php = dot(p, hp)
         if php <= 0.0:
             break
         a = rz / php
         s += a * p
+        a_s += a * ap
+        ata_s += a * atap
         iters += 1
         if iters == max_iters:
             break  # the next residual would not be read
@@ -290,7 +302,7 @@ def _cg(apply_h, rhs: np.ndarray, max_iters: int,
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return s, iters
+    return s, iters, a_s, ata_s
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,25 +370,22 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
     sigma = _operator_sigma(A)
     u = np.zeros(A.ncols)
 
-    def steps(u, au):
+    def steps(u, res, grad_fid):
+        # carried: res = Au - b (-b at u = 0) and grad_fid = A'res
         while True:
             R = build_gradient_matrix(kind, Image(grid, u), alpha)
-            grad = A.apply_adjoint(au - bv) + R.matrix @ u
-
-            def apply_h(v, _r=R.matrix):
-                return A.apply_adjoint(A.apply(v)) + _r @ v
-
             apply_m = _factorized_preconditioner(R, sigma, grid)
-            s, _ = _cg(apply_h, -grad, cfg.inner_iters, apply_m)
+            s, _, a_s, ata_s = _cg(A, R.matrix, -(grad_fid + R.matrix @ u),
+                                   cfg.inner_iters, apply_m)
             u = u + s
             _check_finite(u, "fixed_point_reconstruct")
-            au = A.apply(u)
-            fid = 0.5 * float(np.sum((au - bv) ** 2))
+            res += a_s
+            grad_fid += ata_s
             pen = penalty_value(kind, Image(grid, u), alpha)
-            yield u, fid, pen, dot(s, s)
+            yield u, 0.5 * dot(res, res), pen, dot(s, s)
 
-    return _run(grid, u, steps(u, np.zeros(A.nrows)), cfg.outer_iters,
-                cfg.rho, ground_truth)
+    return _run(grid, u, steps(u, -bv, A.apply_adjoint(-bv)),
+                cfg.outer_iters, cfg.rho, ground_truth)
 
 
 # --- MLEM splitting (Poisson fidelity) ------------------------------------

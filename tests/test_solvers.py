@@ -122,10 +122,10 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
     calls = []
     original = solvers._cg
 
-    def recorded(apply_h, rhs, max_iters, apply_m=None):
-        s, iters = original(apply_h, rhs, max_iters, apply_m=apply_m)
-        calls.append((apply_h, rhs, max_iters, apply_m, s))
-        return s, iters
+    def recorded(op, r_mat, rhs, max_iters, apply_m):
+        out = original(op, r_mat, rhs, max_iters, apply_m)
+        calls.append((op, r_mat, rhs, max_iters, apply_m, out[0]))
+        return out
 
     monkeypatch.setattr(solvers, "_cg", recorded)
     cfg = SolverConfig(outer_iters=3, inner_iters=5, rho=1e-20, alpha=alpha)
@@ -133,7 +133,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
     assert len(calls) == 3
     bv = ds.noisy[0].ravel()
     u_start = np.zeros(A.ncols)
-    for apply_h, rhs, max_iters, apply_m, step in calls:
+    for op, r_mat, rhs, max_iters, apply_m, step in calls:
         # objective with the penalty matrix frozen at the outer iterate
         R = build_gradient_matrix(tv(), Image(A.spec.grid, u_start),
                                   alpha=alpha).matrix
@@ -144,7 +144,7 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
             return 0.5 * float(r @ r) + 0.5 * float(v @ (R @ v))
 
         # CG stopped after k steps gives the k-th inner iterate
-        steps = [original(apply_h, rhs, k, apply_m=apply_m)[0]
+        steps = [original(op, r_mat, rhs, k, apply_m)[0]
                  for k in range(1, max_iters + 1)]
         assert steps[-1].tobytes() == step.tobytes()
         prev = None
@@ -162,23 +162,54 @@ def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
     # the step equation of an el solve's first outer iteration
     R = build_gradient_matrix(el(), Image(A.spec.grid, np.zeros(A.ncols)),
                               alpha=alpha)
-
-    def apply_h(v):
-        return A.apply_adjoint(A.apply(v)) + R.matrix @ v
-
     rhs = A.apply_adjoint(ds.noisy[0].ravel())
     apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
-    plain, _ = solvers._cg(apply_h, rhs, 400, lambda r: r)
-    precond, _ = solvers._cg(apply_h, rhs, 400, apply_m=apply_m)
+    plain = solvers._cg(A, R.matrix, rhs, 400, lambda r: r)[0]
+    precond = solvers._cg(A, R.matrix, rhs, 400, apply_m)[0]
     assert np.linalg.norm(plain - precond) <= 1e-8 * np.linalg.norm(plain)
 
     # with a modest step budget the preconditioned step gets much closer
     # to the converged one: the stiff penalty term is what CG chokes on
     err_plain = np.linalg.norm(
-        solvers._cg(apply_h, rhs, 12, lambda r: r)[0] - precond)
+        solvers._cg(A, R.matrix, rhs, 12, lambda r: r)[0] - precond)
     err_pre = np.linalg.norm(
-        solvers._cg(apply_h, rhs, 12, apply_m=apply_m)[0] - precond)
+        solvers._cg(A, R.matrix, rhs, 12, apply_m)[0] - precond)
     assert err_pre < err_plain
+
+
+@pytest.mark.parametrize("max_iters", [1, 5])
+def test_cg_returns_the_products_of_its_step(small_ct, max_iters):
+    ds, A = small_ct
+    R = build_gradient_matrix(el(), ds.ground_truth, alpha=1e-6)
+    rhs = A.apply_adjoint(ds.noisy[0].ravel())
+    apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
+    s, iters, a_s, ata_s = solvers._cg(A, R.matrix, rhs, max_iters, apply_m)
+    assert iters == max_iters
+    a_ref = A.apply(s)
+    ata_ref = A.apply_adjoint(a_ref)
+    assert np.linalg.norm(a_s - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
+    assert np.linalg.norm(ata_s - ata_ref) <= 1e-12 * np.linalg.norm(ata_ref)
+
+    s, iters, a_s, ata_s = solvers._cg(A, R.matrix, np.zeros(A.ncols),
+                                       max_iters, apply_m)
+    assert iters == 0
+    assert a_s.shape == (A.nrows,) and ata_s.shape == (A.ncols,)
+    assert not (s.any() or a_s.any() or ata_s.any())
+
+
+@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
+                         ids=lambda k: k.kind)
+def test_carried_fidelity_does_not_drift(small_ct, kind):
+    # Au - b is carried through 40 outer iterations by adding inner CG's
+    # A s; the last fidelity must still match a fresh projection
+    ds, A = small_ct
+    b = ds.noisy[0]
+    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30, alpha=1e-7)
+    res = fixed_point_reconstruct(A, b, kind, cfg)
+    assert len(res.history) == cfg.outer_iters
+    r = A.apply(res.image.ravel()) - b.ravel()
+    fresh = 0.5 * float(r @ r)
+    assert abs(res.history[-1].fidelity - fresh) <= 1e-12 * fresh
 
 
 @pytest.fixture(scope="module")
@@ -324,11 +355,11 @@ def test_fixed_point_projector_calls(rho, monkeypatch):
     cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho, alpha=3e-9)
     res = fixed_point_reconstruct(A, b, el(), cfg)
     assert len(res.history) == (1 if rho > 1.0 else cfg.outer_iters)
-    # sigma's 10 power steps on A'A, then per outer iteration the
-    # gradient's A', inner_iters products with A'A and the new Au
-    per_outer = cfg.inner_iters + 1
-    assert calls == {"apply": 10 + per_outer * len(res.history),
-                     "apply_adjoint": 10 + per_outer * len(res.history)}
+    # sigma's 10 power steps on A'A, A'b once, then per outer iteration
+    # only inner CG's inner_iters products with A'A: A s and A'A s come
+    # out of CG and carry Au - b and the gradient A'(Au - b)
+    per_run = 10 + cfg.inner_iters * len(res.history)
+    assert calls == {"apply": per_run, "apply_adjoint": per_run + 1}
 
 
 def test_mlem_rejects_negative_data():
@@ -532,16 +563,20 @@ def test_cg_takes_max_iters_steps(rng):
     b = rng.standard_normal((40, 40))
     h = b @ b.T + np.eye(40)
     rhs = rng.standard_normal(40)
+    # h = A'A + R with A = b' and R = I
+    A, R = _synthetic_operator(b.T), sp.identity(40, format="dia")
     for apply_m in (lambda r: r, lambda r: r / np.diag(h)):
         for k in (1, 7, 25):
-            s, iters = solvers._cg(lambda v: h @ v, rhs, k, apply_m=apply_m)
+            s, iters, _, _ = solvers._cg(A, R, rhs, k, apply_m)
             assert iters == k
             assert np.all(np.isfinite(s))
 
 
 def test_cg_zero_rhs_gives_zero_step():
-    h = np.diag(np.arange(1.0, 11.0))
-    s, iters = solvers._cg(lambda v: h @ v, np.zeros(10), 5, lambda r: r)
+    # h = diag(1, ..., 10) = A'A + R with A = I and R = diag(0, ..., 9)
+    A = _synthetic_operator(sp.identity(10, format="csr"))
+    R = sp.diags(np.arange(10.0), format="dia")
+    s, iters, _, _ = solvers._cg(A, R, np.zeros(10), 5, lambda r: r)
     assert iters == 0
     assert not s.any()
 
