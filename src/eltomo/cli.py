@@ -229,6 +229,9 @@ def cmd_phantom(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     out = Path(cfg["out"])
+    if cfg["nbins"] < 0:
+        raise ConfigError(f"nbins must be >= 0 (0 selects the default "
+                          f"detector), got {cfg['nbins']}")
     nbins = cfg["nbins"] if cfg["nbins"] > 0 else None
     if cfg["experiment"] == "ct":
         spec = CtSimSpec(

@@ -7,15 +7,16 @@ pitch (the mean line integral across the strip). Keeping both kernels in
 the same units is what allows data simulated with one kernel to be
 reconstructed with the other.
 
-The strip kernel builds one view at a time, in one pass over all pixels
-per bin offset: offset j holds each pixel's weight in the j-th bin its
-footprint reaches, the difference of the footprint's cumulative profile
-at that bin's two edges. The trapezoid is evaluated only on arrays of
-edge positions with some entry strictly inside the footprint; an array
-at or beyond one end of it takes the profile's value there, computed
-once per view, and an offset whose weights are nowhere positive is
-dropped. A streaming projection adds each offset's products into its
-row in place; an assembled matrix stores each offset's positive entries.
+The strip kernel evaluates one view at a time, bin offset by bin
+offset, and each offset in chunks of pixels on buffers reused across
+chunks, offsets and views: offset j holds each pixel's weight in the
+j-th bin its footprint reaches, the difference of the footprint's
+cumulative profile at that bin's two edges. Each piece of the trapezoid
+is evaluated on a chunk only if some edge position falls in it; a chunk
+at or beyond one end of the footprint takes the profile's value there,
+computed once per view, and a chunk whose weights are nowhere positive
+is skipped. A streaming projection adds each chunk's products into its
+row in place; an assembled matrix stores each chunk's positive entries.
 
 The matrix is precomputed and stored in CSR form; the adjoint is the
 exact transpose. It is assembled in place: a first pass counts each
@@ -60,11 +61,18 @@ SPLIT_NNZ = 2_000_000
 
 # Streaming projection splits its views between the two threads when
 # views x pixels reaches this. The worker thread keeps its own allocator
-# arena, which raised peak memory by 3-6 MiB on the comparison sizes
-# (60 views of 128^2, 90 views of 200^2) for a saving of 20-170 ms; the
-# full-size data (90 views of 500^2) saves about 0.9 s, 1.4-1.7 s split
-# against 2.2-2.5 s on one thread (2-core VM).
+# arena, which raised peak memory by 2.6-3.3 MiB on the comparison sizes
+# (60 views of 128^2, 90 views of 200^2) for a saving of 20-30 ms; the
+# full-size data (90 views of 500^2) saves about 0.3 s, 0.6-0.75 s split
+# against 0.9-1.1 s on one thread (2-core VM).
 STREAM_SPLIT_PIXELS = 10_000_000
+
+# Strip views are evaluated this many pixels at a time. Smaller chunks
+# make many more short numpy calls, each a hand-off of the interpreter
+# lock between the two threads: 90 views of 500^2 took 2.1-3.0 s at 4096
+# pixels, 0.93-1.21 s at 16384, 0.50-0.74 s at 65536 and 0.64-0.73 s at
+# 262144 (two threads, 2-core VM).
+_STRIP_CHUNK = 65536
 
 # Two threads when the process may run on two or more cores, else one.
 THREADS = min(2, len(os.sched_getaffinity(0))
@@ -242,94 +250,6 @@ def gaussian_kernel(fwhm_bins: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _strip_cumulative(t: np.ndarray, w: float, f: float, area: float
-                      ) -> np.ndarray:
-    """Integral from -w to t of the chord-length profile of one pixel.
-
-    The profile of an axis-aligned pixel projected onto the detector
-    axis is a trapezoid with support [-w, w], flat top [-f, f] and total
-    integral equal to the pixel area. ``_strip_view`` calls this only on
-    arrays with some entry strictly inside (-w, w); an array at or beyond
-    one end takes this function's value at that end, evaluated once per
-    view. That value is computed, not assumed: in the axis-aligned branch
-    ``area * (2w) / (2w)`` need not round to ``area``.
-    """
-    t = np.clip(t, -w, w)
-    rise = w - f
-    if rise <= 1e-12 * w:
-        return area * (t + w) / (2.0 * w)
-    lmax = area / (w + f)
-    out = np.empty_like(t)
-    left = t < -f
-    right = t > f
-    mid = ~(left | right)
-    out[left] = 0.5 * lmax * (t[left] + w) ** 2 / rise
-    out[mid] = 0.5 * lmax * rise + lmax * (t[mid] + f)
-    out[right] = area - 0.5 * lmax * (w - t[right]) ** 2 / rise
-    return out
-
-
-def _strip_view(spec: ProjectorSpec, angle: float
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every pixel's bin index and weight in one view, as one pair of
-    pixel-length arrays per bin offset, offsets in increasing order.
-
-    An entry that is not stored, because its bin is off the detector or
-    its weight is not positive, has bin index ``nbins``. An offset whose
-    weights are nowhere positive is left out.
-    """
-    g = spec.grid
-    c, s = math.cos(angle), math.sin(angle)
-    hx, hy = g.hx, g.hy
-    w = 0.5 * (hx * abs(c) + hy * abs(s))
-    f = 0.5 * abs(hx * abs(c) - hy * abs(s))
-    area = hx * hy
-    pitch = spec.bin_pitch
-    low, high = _strip_cumulative(np.array([-w, w]), w, f, area)
-
-    def cumulative(arg):
-        if arg.max() <= -w:
-            return low
-        if arg.min() >= w:
-            return high
-        return _strip_cumulative(arg, w, f, area)
-
-    x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
-    y = (np.arange(g.ny) + 0.5) * hy - 0.5 * g.dy
-    t = (c * x[None, :] + s * y[:, None]).ravel()
-
-    edge0 = -0.5 * spec.nbins * pitch
-    klo = np.floor((t - w - edge0) / pitch).astype(np.int64)
-    span = int(math.ceil(2.0 * w / pitch)) + 2
-
-    offsets = []
-    for off in range(span):
-        k = klo + off
-        lo = edge0 + k * pitch
-        wgt = np.broadcast_to((cumulative(lo + pitch - t)
-                               - cumulative(lo - t)) / pitch, t.shape)
-        stored = wgt > 0.0
-        if not stored.any():
-            continue
-        stored &= (k >= 0) & (k < spec.nbins)
-        offsets.append((np.where(stored, k, spec.nbins), wgt))
-    return offsets
-
-
-def _strip_angle_entries(spec: ProjectorSpec, angle: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bin index, pixel index, weight) triplets for one view: the stored
-    entries of each bin offset in turn."""
-    bins, pixels, weights = [], [], []
-    for k, wgt in _strip_view(spec, angle):
-        stored = k < spec.nbins
-        bins.append(k[stored])
-        pixels.append(np.flatnonzero(stored))
-        weights.append(wgt[stored])
-    return (np.concatenate(bins), np.concatenate(pixels),
-            np.concatenate(weights))
-
-
 def _buffer(scratch: dict, name: str, shape: tuple, dtype) -> np.ndarray:
     """An uninitialized array of ``shape``: a view of ``scratch[name]``,
     which is allocated again only when it is too small."""
@@ -338,6 +258,178 @@ def _buffer(scratch: dict, name: str, shape: tuple, dtype) -> np.ndarray:
     if buf is None or buf.size < size:
         buf = scratch[name] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
+
+
+def _strip_cumulative(arg: np.ndarray, w: float, f: float, area: float,
+                      scratch: dict, name: str) -> np.ndarray:
+    """Integral from -w to ``arg`` of the chord-length profile of one
+    pixel, in the buffer ``scratch[name]``; ``arg`` is clipped to
+    [-w, w] in place.
+
+    The profile of an axis-aligned pixel projected onto the detector
+    axis is a trapezoid with support [-w, w], flat top [-f, f] and total
+    integral equal to the pixel area. Each of its three pieces is
+    evaluated on the whole array only if some entry falls in it: the
+    first into the result, the others into a spare buffer whose entries
+    in the piece are then put into the result with ``np.putmask``.
+    """
+    out = _buffer(scratch, name, arg.shape, np.float64)
+    np.clip(arg, -w, w, out=arg)
+    rise = w - f
+    if rise <= 1e-12 * w:
+        # area * (t + w) / (2w)
+        np.add(arg, w, out=out)
+        out *= area
+        out /= 2.0 * w
+        return out
+    lmax = area / (w + f)
+    left = np.less(arg, -f, out=_buffer(scratch, "left", arg.shape, np.bool_))
+    right = np.greater(arg, f,
+                       out=_buffer(scratch, "right", arg.shape, np.bool_))
+    n_left, n_right = np.count_nonzero(left), np.count_nonzero(right)
+    spare = _buffer(scratch, "piece", arg.shape, np.float64)
+    dest = out
+    if n_left + n_right < arg.size:
+        # the flat top: 0.5 lmax rise + lmax (t + f)
+        np.add(arg, f, out=dest)
+        dest *= lmax
+        dest += 0.5 * lmax * rise
+        dest = spare
+    if n_left:
+        # 0.5 lmax (t + w)^2 / rise
+        np.add(arg, w, out=dest)
+        np.square(dest, out=dest)
+        dest *= 0.5 * lmax
+        dest /= rise
+        if dest is spare:
+            np.putmask(out, left, spare)
+        dest = spare
+    if n_right:
+        # area - 0.5 lmax (w - t)^2 / rise
+        np.subtract(w, arg, out=dest)
+        np.square(dest, out=dest)
+        dest *= 0.5 * lmax
+        dest /= rise
+        np.subtract(area, dest, out=dest)
+        if dest is spare:
+            np.putmask(out, right, spare)
+    return out
+
+
+def _strip_scratch(npixels: int) -> dict:
+    """Every buffer _strip_chunks uses on a grid of ``npixels``.
+
+    project_streaming allocates both threads' buffers on the calling
+    thread: glibc returns a freed block to the arena of the thread that
+    allocated it, and the worker thread's arena kept about 4 MiB of them
+    resident after a full-size projection (90 views of 500^2), which
+    every later peak of the process then carried.
+    """
+    chunk = min(npixels, _STRIP_CHUNK)
+    scratch = {"t": np.empty(npixels), "klo": np.empty(npixels, np.int64),
+               "bins": np.empty(chunk, np.int64)}
+    for name in ("lo", "upper", "cum_hi", "cum_lo", "piece", "weights"):
+        scratch[name] = np.empty(chunk)
+    for name in ("left", "right", "drop", "off_detector"):
+        scratch[name] = np.empty(chunk, np.bool_)
+    return scratch
+
+
+def _strip_chunks(spec: ProjectorSpec, angle: float, scratch: dict):
+    """Every pixel's bin index and weight in one view, by bin offset and
+    pixel chunk: ``(first pixel, bins, weights)`` for each offset in
+    increasing order and, within it, each chunk of _STRIP_CHUNK pixels
+    in ascending order.
+
+    Offset j holds each pixel's weight in the j-th bin its footprint
+    reaches, the difference of the footprint's cumulative profile at
+    that bin's two edges. An entry that is not stored, because its bin
+    is off the detector or its weight is not positive, has bin index
+    ``nbins``, and a chunk with no stored entry is skipped. ``bins`` and
+    ``weights`` are views of the ``scratch`` buffers, which the next item
+    overwrites.
+    """
+    g = spec.grid
+    c, s = math.cos(angle), math.sin(angle)
+    hx, hy = g.hx, g.hy
+    w = 0.5 * (hx * abs(c) + hy * abs(s))
+    f = 0.5 * abs(hx * abs(c) - hy * abs(s))
+    area = hx * hy
+    pitch = spec.bin_pitch
+    nbins = spec.nbins
+    # the profile's value at each end: computed, not assumed, since in
+    # the axis-aligned branch area * (2w) / (2w) need not round to area
+    low, high = _strip_cumulative(np.array([-w, w]), w, f, area, {}, "ends")
+
+    x = (np.arange(g.nx) + 0.5) * hx - 0.5 * g.dx
+    y = (np.arange(g.ny) + 0.5) * hy - 0.5 * g.dy
+    t = _buffer(scratch, "t", (g.ny, g.nx), np.float64)
+    np.add(c * x[None, :], s * y[:, None], out=t)
+    t = t.ravel()
+    n = t.size
+    chunks = [(p0, min(p0 + _STRIP_CHUNK, n))
+              for p0 in range(0, n, _STRIP_CHUNK)]
+    edge0 = -0.5 * nbins * pitch
+    klo = _buffer(scratch, "klo", (n,), np.int64)
+    for p0, p1 in chunks:
+        scaled = np.subtract(t[p0:p1], w,
+                             out=_buffer(scratch, "lo", (p1 - p0,), np.float64))
+        scaled -= edge0
+        scaled /= pitch
+        klo[p0:p1] = np.floor(scaled, out=scaled)
+    span = int(math.ceil(2.0 * w / pitch)) + 2
+
+    for off in range(span):
+        for p0, p1 in chunks:
+            m = p1 - p0
+            tc = t[p0:p1]
+            k = np.add(klo[p0:p1], off,
+                       out=_buffer(scratch, "bins", (m,), np.int64))
+            lo = np.multiply(k, pitch,
+                             out=_buffer(scratch, "lo", (m,), np.float64))
+            lo += edge0
+            upper = np.add(lo, pitch,
+                           out=_buffer(scratch, "upper", (m,), np.float64))
+            upper -= tc
+            # the lower edge is never above the upper one, so a chunk
+            # whose upper edges all lie below the footprints, or whose
+            # lower edges all lie above them, has no positive weight
+            if upper.max() <= -w:
+                continue
+            lower = np.subtract(lo, tc, out=lo)
+            if lower.min() >= w:
+                continue
+            cum_hi = (high if upper.min() >= w else
+                      _strip_cumulative(upper, w, f, area, scratch, "cum_hi"))
+            cum_lo = (low if lower.max() <= -w else
+                      _strip_cumulative(lower, w, f, area, scratch, "cum_lo"))
+            wgt = np.subtract(cum_hi, cum_lo,
+                              out=_buffer(scratch, "weights", (m,), np.float64))
+            wgt /= pitch
+            drop = np.less_equal(wgt, 0.0,
+                                 out=_buffer(scratch, "drop", (m,), np.bool_))
+            # as unsigned, a negative bin is larger than any on the detector
+            drop |= np.greater_equal(
+                k.view(np.uint64), nbins,
+                out=_buffer(scratch, "off_detector", (m,), np.bool_))
+            if drop.all():
+                continue
+            np.putmask(k, drop, nbins)
+            yield p0, k, wgt
+
+
+def _strip_angle_entries(spec: ProjectorSpec, angle: float, scratch: dict
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bin index, pixel index, weight) triplets for one view: the stored
+    entries of each bin offset and pixel chunk in turn."""
+    bins, pixels, weights = [], [], []
+    for p0, k, wgt in _strip_chunks(spec, angle, scratch):
+        stored = k < spec.nbins
+        bins.append(k[stored])
+        pixels.append(p0 + np.flatnonzero(stored))
+        weights.append(wgt[stored])
+    return (np.concatenate(bins), np.concatenate(pixels),
+            np.concatenate(weights))
 
 
 def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
@@ -424,7 +516,7 @@ def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
                 ) -> np.ndarray:
     """Stored entries of each ray of one view."""
     if spec.kernel == "strip":
-        return np.bincount(_strip_angle_entries(spec, angle)[0],
+        return np.bincount(_strip_angle_entries(spec, angle, scratch)[0],
                            minlength=spec.nbins)
     return _linear_view(spec, angle, scratch)[2].sum(axis=(0, 2))
 
@@ -434,7 +526,7 @@ def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
     """Write one view's entries into ``data`` and ``indices``, grouped
     by ray in ray order; within a ray the order is left open."""
     if spec.kernel == "strip":
-        bins, pixels, weights = _strip_angle_entries(spec, angle)
+        bins, pixels, weights = _strip_angle_entries(spec, angle, scratch)
         order = np.argsort(bins, kind="stable")
         data[:] = weights[order]
         indices[:] = pixels[order]
@@ -580,15 +672,21 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
     flat = u.ravel()
     out = np.zeros((spec.n_angles, spec.nbins))
 
+    split = spec.n_angles * spec.grid.npixels >= STREAM_SPLIT_PIXELS
+    # one scratch per thread, all allocated here (see _strip_scratch)
+    scratches = [_strip_scratch(spec.grid.npixels) if spec.kernel == "strip"
+                 else {} for _ in range(1 + split)]
+
     def views(first):
-        scratch: dict = {}
+        scratch = scratches[first % len(scratches)]
         for ia in range(first, spec.n_angles, 2):
             angle = spec.angles[ia]
             if spec.kernel == "strip":
                 # the last slot takes the entries that are not stored
                 row = np.zeros(spec.nbins + 1)
-                for bins, weights in _strip_view(spec, angle):
-                    np.add.at(row, bins, weights * flat)
+                for p0, bins, weights in _strip_chunks(spec, angle, scratch):
+                    weights *= flat[p0:p0 + weights.size]
+                    np.add.at(row, bins, weights)
                 out[ia] = row[:-1]
             else:
                 bins, pixels, weights = _linear_angle_entries(spec, angle,
@@ -596,7 +694,7 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
                 out[ia] = np.bincount(bins, weights * flat[pixels],
                                       minlength=spec.nbins)
 
-    if spec.n_angles * spec.grid.npixels >= STREAM_SPLIT_PIXELS:
+    if split:
         _run_pair(lambda: views(0), lambda: views(1))
     else:
         views(0)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
+from . import fileio, projector
 from .grids import GridSpec, Image, RegionMask, Sinogram, uniform_angles
 from .phantoms import (PhantomDescriptor, default_ct_descriptor,
                        generate_ct_phantom, generate_et_phantom,
@@ -24,6 +24,15 @@ from .phantoms import (PhantomDescriptor, default_ct_descriptor,
 from .projector import ProjectorSpec, default_detector, project_streaming
 
 _STARVATION_MEAN = 1e-6
+
+# Largest traced peaks of the dataset builders, in float64 arrays of the
+# grid's pixel count: make_ct_dataset 6.1 fine-grid arrays at 1000^2 and
+# 14-16 at 32^2 to 64^2 with 90 angles, where its sinograms weigh in;
+# make_et_dataset 21.7 at 512^2 with 10 angles and 41.2 with 60, where the
+# projection splits its views between two threads, each with its own
+# buffers. The sinograms a builder holds at once are counted apart.
+_CT_PIXEL_ARRAYS = 16
+_ET_PIXEL_ARRAYS = 42
 
 
 def poisson_sample(lam: np.ndarray, seed: int) -> np.ndarray:
@@ -105,12 +114,32 @@ def _detector(grid: GridSpec, nbins: int | None) -> tuple[int, float]:
     return nbins, span / nbins
 
 
+def _check_memory(grid: GridSpec, pixel_arrays: int, sinograms: int,
+                  n_angles: int, nbins: int, flag: str) -> None:
+    """Raise ValueError, before anything grid-sized is allocated, if a
+    simulation on ``grid`` would need more memory than is available."""
+    need = 8 * (pixel_arrays * grid.npixels + sinograms * n_angles * nbins)
+    available = projector._available_memory()
+    if need > available:
+        raise ValueError(
+            f"simulating on the {grid.nx}x{grid.ny} grid with {n_angles} "
+            f"angles needs about {need / 2**20:.1f} MiB but only "
+            f"{available / 2**20:.1f} MiB of memory is available; use a "
+            f"smaller {flag} or --n-angles")
+
+
 def make_ct_dataset(spec: CtSimSpec) -> Dataset:
     """Strip-kernel line integrals on the fine grid, transmission counts
     c ~ Poisson(I0 exp(-p)), then b = -ln(max(c,1)/I0); reconstruction
-    pairs the data with a linear-kernel projector on the coarse grid."""
+    pairs the data with a linear-kernel projector on the coarse grid.
+    A simulation larger than the memory available raises ValueError
+    before the phantom is drawn."""
     angles = uniform_angles(spec.n_angles)
     nbins, pitch = _detector(spec.recon_grid, spec.nbins)
+    # noiseless line integrals, mean counts, counts and the noisy data,
+    # with one temporary
+    _check_memory(spec.fine_grid, _CT_PIXEL_ARRAYS, 5, spec.n_angles, nbins,
+                  "--fine-n")
 
     gen_spec = ProjectorSpec(spec.fine_grid, angles, nbins, pitch, "strip")
     recon_spec = ProjectorSpec(spec.recon_grid, angles, nbins, pitch, "linear")
@@ -137,9 +166,14 @@ def make_ct_dataset(spec: CtSimSpec) -> Dataset:
 def make_et_dataset(spec: EtSimSpec) -> Dataset:
     """Emission phantom scaled so its PSF-blurred projections carry the
     requested total expected counts; each realization is an independent
-    Poisson draw of that sinogram."""
+    Poisson draw of that sinogram. A simulation larger than the memory
+    available raises ValueError before the phantom is drawn."""
     angles = uniform_angles(spec.n_angles)
     nbins, pitch = _detector(spec.grid, spec.nbins)
+    # the realizations, the projection, its scaled copy and one draw in
+    # progress, with one temporary
+    _check_memory(spec.grid, _ET_PIXEL_ARRAYS, spec.n_realizations + 4,
+                  spec.n_angles, nbins, "--et-n")
     proj_spec = ProjectorSpec(spec.grid, angles, nbins, pitch, "linear",
                               psf_fwhm_bins=spec.psf_fwhm_bins)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eltomo import metrics, projector
+from eltomo import metrics, projector, simulate
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import alpha_scale_heuristic, mu_scale_heuristic, rmse
@@ -444,3 +444,49 @@ def test_operator_over_the_memory_budget_is_one_error_line(
     assert "0.0 MiB of memory is available" in err[0]
     assert "--n-angles" in err[0] and captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment,flag", [("ct", "--fine-n"),
+                                             ("et", "--et-n")])
+def test_simulation_over_the_memory_budget_is_one_error_line(
+        experiment, flag, tmp_path, capsys, monkeypatch):
+    # refused before the phantom is drawn
+    def no_phantom(*args):
+        raise AssertionError("the phantom was drawn")
+
+    monkeypatch.setattr(simulate, "generate_ct_phantom", no_phantom)
+    monkeypatch.setattr(simulate, "generate_et_phantom", no_phantom)
+    monkeypatch.setattr(projector, "_available_memory", lambda: 2**17)
+    assert _run("simulate", "--experiment", experiment, "--fine-n", 64,
+                "--recon-n", 32, "--et-n", 64, "--n-angles", 30,
+                "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "64x64 grid" in err[0] and "0.1 MiB of memory is available" in err[0]
+    assert flag in err[0] and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulation_within_the_memory_budget_runs(tmp_path, monkeypatch):
+    # a 64^2 CT simulation with 30 angles fits in 8 MiB by its own count
+    monkeypatch.setattr(projector, "_available_memory", lambda: 2**23)
+    assert _run("simulate", "--experiment", "ct", "--fine-n", 64,
+                "--recon-n", 32, "--n-angles", 30,
+                "--out", tmp_path / "o") == 0
+
+
+def test_negative_detector_size_is_one_error_line(tmp_path, capsys):
+    assert _run("simulate", "--experiment", "ct", "--fine-n", 40,
+                "--recon-n", 20, "--n-angles", 6, "--nbins", -3,
+                "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "nbins" in err[0] and "-3" in err[0] and captured.out == ""
+    assert not (tmp_path / "o").exists()
+    # 0 keeps selecting the default detector: 29 bins on a 20^2 grid
+    assert _run("simulate", "--experiment", "ct", "--fine-n", 40,
+                "--recon-n", 20, "--n-angles", 6, "--nbins", 0,
+                "--out", tmp_path / "d") == 0
+    assert "nbins=29\n" in (tmp_path / "d" / "provenance.txt").read_text()

@@ -677,6 +677,77 @@ def test_strip_streaming_is_bytewise_the_oracle_rows(fwhm, grid, width, rng):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _assert_strip_is_the_oracle(spec, rng):
+    """Streaming rows and the assembled matrix, byte for byte."""
+    u = Image(spec.grid, rng.standard_normal(spec.grid.npixels))
+    rows = []
+    for angle in spec.angles:
+        bins, pixels, weights = _strip_entries_oracle(spec, angle)
+        rows.append(np.bincount(bins, weights * u.ravel()[pixels],
+                                minlength=spec.nbins))
+    want = np.array(rows)
+    got = project_streaming(spec, u).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _same_arrays(build_projector(spec).matrix, _vstack_oracle(spec))
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 7),
+                                  GridSpec(5, 9)],
+                         ids=["16x16", "12x7", "5x9"])
+@pytest.mark.parametrize("width", ["default", "wide", "coarse"])
+def test_strip_chunks_are_bytewise_the_oracle(monkeypatch, chunk, grid,
+                                              width, rng):
+    # chunks that end mid-row, a partial last chunk and chunks whose
+    # footprints all lie beyond one edge of a bin
+    monkeypatch.setattr(projector, "_STRIP_CHUNK", chunk)
+    nbins, pitch = _detector(grid, width)
+    _assert_strip_is_the_oracle(
+        ProjectorSpec(grid, EDGE_ANGLES, nbins, pitch, "strip"), rng)
+
+
+def test_strip_chunks_on_a_grid_larger_than_one_chunk(rng):
+    grid = GridSpec(300, 260)
+    assert grid.npixels > projector._STRIP_CHUNK
+    nbins, pitch = default_detector(grid)
+    _assert_strip_is_the_oracle(
+        ProjectorSpec(grid, np.array([0.0, np.pi / 4, 1.0]), nbins, pitch,
+                      "strip"), rng)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(300, 260)],
+                         ids=["one-chunk", "two-chunks"])
+def test_strip_scratch_holds_every_strip_buffer(grid):
+    # project_streaming allocates the buffers up front, on the calling
+    # thread; none may be allocated again by the thread that uses them
+    nbins, pitch = default_detector(grid)
+    spec = ProjectorSpec(grid, EDGE_ANGLES, nbins, pitch, "strip")
+    scratch = projector._strip_scratch(grid.npixels)
+    before = dict(scratch)
+    for angle in spec.angles:
+        for _ in projector._strip_chunks(spec, angle, scratch):
+            pass
+    assert scratch.keys() == before.keys()
+    assert all(scratch[name] is before[name] for name in before)
+
+
+def test_strip_streaming_peak_is_a_few_images(rng):
+    # the strip kernel reuses chunk-sized buffers across offsets and
+    # views instead of allocating pixel-length temporaries for each
+    grid = GridSpec(500, 500)
+    spec = _spec(grid, 6, "strip")
+    u = Image(grid, rng.random(grid.npixels))
+    small = GridSpec(8, 8)
+    project_streaming(_spec(small, 2, "strip"), Image(small, np.ones(64)))
+    tracemalloc.start()
+    try:
+        project_streaming(spec, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * grid.npixels, peak / (8 * grid.npixels)
+
+
 @pytest.mark.parametrize("angles", [EDGE_ANGLES, uniform_angles(30)],
                          ids=["edges", "uniform"])
 def test_streaming_entries_keep_their_order(angles):
