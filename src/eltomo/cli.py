@@ -220,9 +220,7 @@ def cmd_phantom(cfg: dict) -> int:
     else:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     fileio.save_image(out / "phantom", img)
-    pgm, sidecar = fileio.write_pgm(img)
-    (out / "phantom.pgm").write_bytes(pgm)
-    (out / "phantom.pgm.txt").write_text(sidecar, encoding="utf-8")
+    fileio.save_pgm(out / "phantom.pgm", img)
     _write_provenance(cfg, out)
     return 0
 
@@ -295,9 +293,7 @@ def cmd_reconstruct(cfg: dict) -> int:
     fileio.save_image(out / f"recon_{method}", result.image)
     (out / f"convergence_{method}.csv").write_text(history_csv(result),
                                                    encoding="utf-8")
-    pgm, sidecar = fileio.write_pgm(result.image)
-    (out / f"recon_{method}.pgm").write_bytes(pgm)
-    (out / f"recon_{method}.pgm.txt").write_text(sidecar, encoding="utf-8")
+    fileio.save_pgm(out / f"recon_{method}.pgm", result.image)
     _write_provenance(cfg, out)
     final = result.history[-1].rmse if result.history else None
     if final is not None:

@@ -139,6 +139,16 @@ def write_pgm(img: Image) -> tuple[bytes, str]:
     return header.encode("ascii") + pixels.tobytes(), sidecar
 
 
+def save_pgm(path: str | Path, img: Image) -> tuple[Path, Path]:
+    """Write write_pgm's preview to ``path`` and its scale to the sidecar
+    ``path`` + ".txt"; returns both paths."""
+    pgm, sidecar = write_pgm(img)
+    paths = Path(path), Path(f"{path}.txt")
+    paths[0].write_bytes(pgm)
+    paths[1].write_text(sidecar, encoding="utf-8")
+    return paths
+
+
 def save_bytes(path: str | Path, data: bytes) -> None:
     Path(path).write_bytes(data)
 

@@ -412,37 +412,25 @@ def emit_report(reports: list[MethodReport], out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    def write(name: str, text: str) -> None:
+        written.append(out / name)
+        written[-1].write_text(text, encoding="utf-8")
+
     table = ["method,best_parameter,rmse"]
     for rep in reports:
         best = "" if rep.best_param is None else _fmt(rep.best_param)
         table.append(f"{rep.method},{best},{_fmt(rep.rmse)}")
-    path = out / "table.csv"
-    path.write_text("\n".join(table) + "\n", encoding="utf-8")
-    written.append(path)
+    write("table.csv", "\n".join(table) + "\n")
 
     for rep in reports:
-        path = out / f"convergence_{rep.method}.csv"
-        path.write_text(history_csv(rep.history_result), encoding="utf-8")
-        written.append(path)
+        write(f"convergence_{rep.method}.csv", history_csv(rep.history_result))
         if rep.sweep is not None:
-            path = out / f"sweep_{rep.method}.csv"
-            path.write_text(sweep_csv(rep.sweep), encoding="utf-8")
-            written.append(path)
+            write(f"sweep_{rep.method}.csv", sweep_csv(rep.sweep))
+        written.extend(fileio.save_pgm(out / f"{rep.method}.pgm", rep.image))
 
-        pgm, sidecar = fileio.write_pgm(rep.image)
-        path = out / f"{rep.method}.pgm"
-        path.write_bytes(pgm)
-        written.append(path)
-        (out / f"{rep.method}.pgm.txt").write_text(sidecar, encoding="utf-8")
-        written.append(out / f"{rep.method}.pgm.txt")
-
-    if any(rep.gr_rmse is not None for rep in reports):
-        lines = ["method,gr_mean,br_mean"]
-        for rep in reports:
-            if rep.gr_rmse is None:
-                continue
-            lines.append(f"{rep.method},{_fmt(rep.gr_rmse)},{_fmt(rep.br_rmse)}")
-        path = out / "region_rmse.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    regions = ["method,gr_mean,br_mean"] + [
+        f"{rep.method},{_fmt(rep.gr_rmse)},{_fmt(rep.br_rmse)}"
+        for rep in reports if rep.gr_rmse is not None]
+    if len(regions) > 1:
+        write("region_rmse.csv", "\n".join(regions) + "\n")
     return written

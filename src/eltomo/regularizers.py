@@ -2,8 +2,9 @@
 
 Every matrix here is alpha R(u): the penalty's weight alpha (and tvl2's
 mu) sits in its diagonals, so the solvers apply it with no outer
-multiplier. penalty_value is the weighted functional whose gradient,
-with the diagonals frozen at u, is alpha R(u) u. Four penalties are
+multiplier. The penalty value is the weighted functional whose
+gradient, with the diagonals frozen at u, is alpha R(u) u; _freeze
+computes both from the same intermediates. Four penalties are
 supported:
 
   tikhonov  (alpha/2) |u|_2^2                    -> alpha I
@@ -39,7 +40,9 @@ smoothing) instead of dividing by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,11 +105,17 @@ class ElWeights:
 class RegularizerMatrix:
     """Symmetric positive-semidefinite map alpha R(u) on flattened
     images, with the stencil names and frozen diagonals of its form
-    sum_t D_t' diag(w_t) D_t (both empty for tikhonov's alpha I)."""
+    sum_t D_t' diag(w_t) D_t (both empty for tikhonov's alpha I) and the
+    weighted penalty value at u, evaluated when first read."""
 
     matrix: sp.dia_matrix
-    stencils: tuple[str, ...] = ()
-    weights: tuple[np.ndarray, ...] = ()
+    stencils: tuple[str, ...]
+    weights: tuple[np.ndarray, ...]
+    _value: Callable[[], float] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def value(self) -> float:
+        return self._value()
 
 
 # --- difference stencils ------------------------------------------------
@@ -193,36 +202,29 @@ def _amplitude(values: np.ndarray) -> float:
     return umax if umax > _TINY_AMPLITUDE else 1.0
 
 
-def _edge_slope_x(v: np.ndarray, hx: float) -> np.ndarray:
-    """Larger-magnitude one-sided x-derivative per pixel.
+def _edge_slope(fwd: np.ndarray, axis: int) -> np.ndarray:
+    """Larger-magnitude one-sided derivative per pixel along ``axis``,
+    from the forward differences ``fwd``. Their far-edge entries are 0,
+    so rolling them one pixel on gives the backward differences.
 
     The centered second-difference stencil reaches across a jump from
     both sides, so the weight at BOTH neighbors of an edge must drop;
     a single one-sided difference would leave the far side unweighted
     and let the penalty smooth every edge from that side.
     """
-    fwd = grad_x(v, hx)
-    bwd = np.zeros_like(v)
-    bwd[:, 1:] = fwd[:, :-1]
-    return np.where(np.abs(fwd) >= np.abs(bwd), fwd, bwd)
-
-
-def _edge_slope_y(v: np.ndarray, hy: float) -> np.ndarray:
-    fwd = grad_y(v, hy)
-    bwd = np.zeros_like(v)
-    bwd[1:, :] = fwd[:-1, :]
+    bwd = np.roll(fwd, 1, axis=axis)
     return np.where(np.abs(fwd) >= np.abs(bwd), fwd, bwd)
 
 
 def compute_el_weights(u: Image, beta: float) -> ElWeights:
     if not beta > 0:
         raise ValueError("beta must be positive")
-    g = u.grid
-    umax = _amplitude(u.values)
+    g, v = u.grid, u.values
+    umax = _amplitude(v)
     ax = 2.0 * umax / g.dx
     ay = 2.0 * umax / g.dy
-    wx = 1.0 / (1.0 + beta * (_edge_slope_x(u.values, g.hx) / ax) ** 2)
-    wy = 1.0 / (1.0 + beta * (_edge_slope_y(u.values, g.hy) / ay) ** 2)
+    wx = 1.0 / (1.0 + beta * (_edge_slope(grad_x(v, g.hx), 1) / ax) ** 2)
+    wy = 1.0 / (1.0 + beta * (_edge_slope(grad_y(v, g.hy), 0) / ay) ** 2)
     return ElWeights(wx, wy)
 
 
@@ -231,68 +233,69 @@ def _grad_mag2(u: Image) -> np.ndarray:
     return grad_x(u.values, g.hx) ** 2 + grad_y(u.values, g.hy) ** 2
 
 
-def _terms(kind: Penalty, u: Image, alpha: float
-           ) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-    """Stencil names and frozen diagonals of alpha R(u) in the form
-    sum_t D_t' diag(w_t) D_t, for every kind but tikhonov."""
+_STENCILS = {"dx": lambda v, g: grad_x(v, g.hx),
+             "dy": lambda v, g: grad_y(v, g.hy),
+             "lx": lambda v, g: second_x(v, g.hx),
+             "ly": lambda v, g: second_y(v, g.hy)}
+
+
+def _quadratic(grid: GridSpec, alpha: float, names: tuple[str, ...],
+               weights: tuple[np.ndarray, ...], v) -> float:
+    """0.5 sum_t w_t (D_t v)^2 with the numpy stencils, or 0.5 alpha |v|^2
+    without stencils (tikhonov's alpha I)."""
+    if not names:
+        return 0.5 * alpha * float(np.sum(np.asarray(v) ** 2))
+    v = np.asarray(v).reshape(grid.ny, grid.nx)
+    return 0.5 * sum(float(np.sum(w * _STENCILS[name](v, grid) ** 2))
+                     for name, w in zip(names, weights))
+
+
+def _freeze(kind: Penalty, u: Image, alpha: float):
+    """The stencil names and frozen diagonals of alpha R(u) (both empty
+    for tikhonov) and a thunk for the penalty value at u, from the same
+    intermediates; tikhonov and el, quadratic once frozen, take it from
+    _quadratic."""
+    g, v = u.grid, u.values
+    if kind.kind == "tikhonov":
+        return (), (), functools.partial(_quadratic, g, alpha, (), (), v)
     if kind.kind == "el":
         w = compute_el_weights(u, kind.beta)
-        return ("lx", "ly"), (alpha * w.wx ** 2, alpha * w.wy ** 2)
-    umax = _amplitude(u.values)
+        names, weights = ("lx", "ly"), (alpha * w.wx ** 2, alpha * w.wy ** 2)
+        return names, weights, functools.partial(_quadratic, g, alpha, names,
+                                                 weights, v)
+    umax = _amplitude(v)
     mag2 = _grad_mag2(u)
-    psi = alpha / np.sqrt(mag2 + (_EPS_REL * umax) ** 2)
+    root = np.sqrt(mag2 + (_EPS_REL * umax) ** 2)
+    psi = alpha / root
     if kind.kind == "tv":
-        return ("dx", "dy"), (psi, psi)
-    ups = 2.0 * kind.mu / (mag2 + _GAMMA_REL * umax ** 2) ** 1.5
-    return ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups)
+        return ("dx", "dy"), (psi, psi), lambda: alpha * float(np.sum(root))
+    cube = (mag2 + _GAMMA_REL * umax ** 2) ** 1.5
+    ups = 2.0 * kind.mu / cube
+    return ("dx", "dy", "lx", "ly"), (psi, psi, ups, ups), lambda: (
+        alpha * float(np.sum(root)) + kind.mu * float(np.sum(
+            (second_x(v, g.hx) ** 2 + second_y(v, g.hy) ** 2) / cube)))
 
 
 def build_gradient_matrix(kind: Penalty, u: Image,
                           alpha: float) -> RegularizerMatrix:
-    """The symmetric gradient matrix alpha R(u), frozen at the iterate u."""
-    if kind.kind == "tikhonov":
-        return RegularizerMatrix(alpha * sp.identity(u.grid.npixels,
-                                                     format="dia"))
-    names, weights = _terms(kind, u, alpha)
-    return RegularizerMatrix(_assemble(u.grid, names, weights), names,
-                             weights)
+    """The symmetric gradient matrix alpha R(u), frozen at the iterate u,
+    with the penalty value at u (computed on first read)."""
+    names, weights, value = _freeze(kind, u, alpha)
+    matrix = (_assemble(u.grid, names, weights) if names
+              else alpha * sp.identity(u.grid.npixels, format="dia"))
+    return RegularizerMatrix(matrix, names, weights, value)
 
 
 def penalty_value(kind: Penalty, u: Image, alpha: float) -> float:
     """The weighted penalty at u, whose gradient with the diagonals
-    frozen at u is alpha R(u) u; used for reporting and tests (the
-    solvers work with the gradient matrices, not this value)."""
-    if kind.kind in ("tikhonov", "el"):  # quadratic once frozen at u
-        return frozen_quadratic(kind, u, alpha)(u.values)
-    umax = _amplitude(u.values)
-    mag2 = _grad_mag2(u)
-    value = alpha * float(np.sum(np.sqrt(mag2 + (_EPS_REL * umax) ** 2)))
-    if kind.kind == "tvl2":
-        g = u.grid
-        curv = second_x(u.values, g.hx) ** 2 + second_y(u.values, g.hy) ** 2
-        value += kind.mu * float(
-            np.sum(curv / (mag2 + _GAMMA_REL * umax ** 2) ** 1.5))
-    return value
+    frozen at u is alpha R(u) u: the value build_gradient_matrix(kind,
+    u, alpha) carries, without assembling the matrix."""
+    return _freeze(kind, u, alpha)[2]()
 
 
 def frozen_quadratic(kind: Penalty, u0: Image, alpha: float):
     """Return q(v) = 0.5 <alpha R(u0) v, v> = 0.5 sum_t w_t (D_t v)^2,
-    evaluated with the numpy stencils.
-
-    This recomputes the quadratic form from the frozen diagonals and the
-    difference stencils directly, without touching the sparse matrices,
-    so it can serve as an independent oracle for matrix-vector products.
-    """
-    g = u0.grid
-    if kind.kind == "tikhonov":
-        return lambda v: 0.5 * alpha * float(np.sum(np.asarray(v) ** 2))
-    ops = {"dx": lambda v: grad_x(v, g.hx), "dy": lambda v: grad_y(v, g.hy),
-           "lx": lambda v: second_x(v, g.hx),
-           "ly": lambda v: second_y(v, g.hy)}
-    terms = list(zip(*_terms(kind, u0, alpha)))
-
-    def q(v):
-        v = np.asarray(v).reshape(g.ny, g.nx)
-        return 0.5 * sum(float(np.sum(w * ops[name](v) ** 2))
-                         for name, w in terms)
-    return q
+    evaluated from the frozen diagonals with the numpy stencils, without
+    the sparse matrix: an independent oracle for its products."""
+    names, weights, _ = _freeze(kind, u0, alpha)
+    return functools.partial(_quadratic, u0.grid, alpha, names, weights)

@@ -9,7 +9,8 @@
   products A p and A'A p also give A s and A'A s, so the residual
   Au - b and the gradient A'(Au - b) are carried from one iterate to
   the next: an outer iteration makes inner_iters A/A' pairs, and a run
-  one more A', of b.
+  one more A', of b. R, built at u = 0 and after each step, gives the
+  history its penalty and the next step its matrix: iters + 1 builds.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   followed by a few explicit denoising steps against the frozen penalty
   matrix. Each iterate is forward-projected once: the projection that
@@ -27,8 +28,8 @@ zero search direction); otherwise False.
 
 R is the penalty matrix alpha R(u) of the regularizers module, with the
 weight alpha in its diagonals, and the history's penalty is the
-weighted penalty_value, so each record's objective is fidelity +
-penalty.
+weighted penalty value at the recorded iterate, so each record's
+objective is fidelity + penalty.
 
 The preconditioner of every fixed-point solve approximates
 H = sigma^2 I + R, R = sum_t D_t' diag(w_t) D_t, by M^-1 = S C^-1 S.
@@ -371,9 +372,9 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
     u = np.zeros(A.ncols)
 
     def steps(u, res, grad_fid):
-        # carried: res = Au - b (-b at u = 0) and grad_fid = A'res
+        # carried: res = Au - b (-b at u = 0), grad_fid = A'res and R(u)
+        R = build_gradient_matrix(kind, Image(grid, u), alpha)
         while True:
-            R = build_gradient_matrix(kind, Image(grid, u), alpha)
             apply_m = _factorized_preconditioner(R, sigma, grid)
             s, _, a_s, ata_s = _cg(A, R.matrix, -(grad_fid + R.matrix @ u),
                                    cfg.inner_iters, apply_m)
@@ -381,8 +382,9 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
             _check_finite(u, "fixed_point_reconstruct")
             res += a_s
             grad_fid += ata_s
-            pen = penalty_value(kind, Image(grid, u), alpha)
-            yield u, 0.5 * dot(res, res), pen, dot(s, s)
+            del R  # the step is taken: free it before assembling the next
+            R = build_gradient_matrix(kind, Image(grid, u), alpha)
+            yield u, 0.5 * dot(res, res), R.value, dot(s, s)
 
     return _run(grid, u, steps(u, -bv, A.apply_adjoint(-bv)),
                 cfg.outer_iters, cfg.rho, ground_truth)

@@ -4,8 +4,8 @@ from numpy.testing import assert_array_equal
 
 from eltomo import GridSpec, Image, RegionMask, Sinogram
 from eltomo.fileio import (TomoFileError, read_image, read_mask,
-                           read_sinogram, write_image, write_mask, write_pgm,
-                           write_sinogram)
+                           read_sinogram, save_pgm, write_image, write_mask,
+                           write_pgm, write_sinogram)
 
 
 def test_image_round_trip_bit_exact(rng):
@@ -81,3 +81,12 @@ def test_pgm_export_shape_and_scale(rng):
     assert "min=" in sidecar and "max=" in sidecar
     pixels = np.frombuffer(pgm[len(header):], dtype=">u2")
     assert pixels.min() == 0 and pixels.max() == 65535
+
+
+def test_save_pgm_writes_the_preview_and_its_sidecar(tmp_path, rng):
+    img = Image(GridSpec(10, 8), rng.standard_normal(80))
+    pgm, sidecar = write_pgm(img)
+    written = save_pgm(tmp_path / "x.pgm", img)
+    assert written == (tmp_path / "x.pgm", tmp_path / "x.pgm.txt")
+    assert written[0].read_bytes() == pgm
+    assert written[1].read_bytes() == sidecar.encode("utf-8")

@@ -164,6 +164,17 @@ def test_quadratic_penalty_value_is_half_the_frozen_form(kind, alpha, rng):
                     0.5 * float(u @ (m @ u)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("image", ["smooth", "zero"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
+def test_matrix_carries_the_penalty_value(kind, alpha, image, rng):
+    # the all-zero image takes the unit-amplitude substitute
+    img = (_smooth_image(rng) if image == "smooth"
+           else Image(GridSpec(32, 32), np.zeros(32 * 32)))
+    carried = build_gradient_matrix(kind, img, alpha=alpha).value
+    assert carried.hex() == penalty_value(kind, img, alpha=alpha).hex()
+
+
 def test_penalty_validation():
     with pytest.raises(ValueError):
         Penalty("unknown")

@@ -21,7 +21,7 @@ from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
 from eltomo import metrics, projector, solvers
 from eltomo.metrics import SweepSpec, run_sweep
-from eltomo.regularizers import build_gradient_matrix
+from eltomo.regularizers import build_gradient_matrix, penalty_value
 from eltomo.solvers import (NumericalError, _factorized_preconditioner,
                             estimate_sigma, penalty_eigenvalue)
 
@@ -360,6 +360,82 @@ def test_fixed_point_projector_calls(rho, monkeypatch):
     # out of CG and carry Au - b and the gradient A'(Au - b)
     per_run = 10 + cfg.inner_iters * len(res.history)
     assert calls == {"apply": per_run, "apply_adjoint": per_run + 1}
+
+
+def _count_penalty_calls(monkeypatch):
+    """Count the calls made through solvers' bindings of the penalty
+    builders."""
+    calls = {"build_gradient_matrix": 0, "penalty_value": 0}
+    for name in calls:
+        original = getattr(solvers, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [1e-30, 1e30], ids=["all", "early-stop"])
+@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5), tikhonov()],
+                         ids=lambda k: k.kind)
+def test_fixed_point_freezes_each_iterate_once(kind, rho, monkeypatch):
+    # R is built at u = 0 and once after each step; the history's penalty
+    # is the value R carries, so penalty_value is never called
+    A = _operator(16, 24)
+    b = forward(A, _blob_truth(A.spec.grid))
+    calls = _count_penalty_calls(monkeypatch)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho, alpha=3e-9)
+    res = fixed_point_reconstruct(A, b, kind, cfg)
+    assert len(res.history) == (1 if rho > 1.0 else cfg.outer_iters)
+    assert calls == {"build_gradient_matrix": len(res.history) + 1,
+                     "penalty_value": 0}
+    assert res.history[-1].penalty == penalty_value(kind, res.image,
+                                                    cfg.alpha)
+
+
+@pytest.mark.parametrize("rho", [1e-30, 10.0], ids=["all", "early-stop"])
+def test_mlem_evaluates_one_penalty_per_iteration(rho, monkeypatch):
+    # R is frozen at the post-EM iterate; the history reads the penalty
+    # at the denoised one
+    A = _operator(16, 24)
+    truth = _blob_truth(A.spec.grid, strictly_positive=True)
+    b = Sinogram(A.spec.angles, A.spec.nbins, forward(A, truth).values * 50.0)
+    calls = _count_penalty_calls(monkeypatch)
+    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho, alpha=3e-9)
+    res = mlem_split_reconstruct(A, b, el(), cfg)
+    assert 1 < len(res.history) <= cfg.outer_iters
+    assert calls == {"build_gradient_matrix": len(res.history),
+                     "penalty_value": len(res.history)}
+
+
+@pytest.mark.parametrize("c", [2.0 ** -7, 2.0 ** 7])
+@pytest.mark.parametrize("method", ["cgls", "el"])
+def test_data_scale_scales_the_reconstruction_exactly(small_ct, method, c):
+    # metamorphic: scaling the data by a power of two scales every float
+    # of a cgls or el run exactly, so reconstruct(c b) / c is
+    # reconstruct(b) bit for bit and each history term moves by c^2.
+    # el's alpha stays put, since its weights are scale-free. tv misses
+    # by about 1.5e-3 relative: its first eps comes from the unit
+    # amplitude substituted at the zero start, whatever the data scale.
+    ds, A = small_ct
+    b = ds.noisy[0]
+    cfg = SolverConfig(outer_iters=20, inner_iters=5, rho=1e-300,
+                       alpha=1e-7)
+
+    def reconstruct(sino):
+        if method == "cgls":
+            return cgls(A, sino, cfg.outer_iters)
+        return fixed_point_reconstruct(A, sino, el(), cfg)
+
+    base = reconstruct(b)
+    scaled = reconstruct(Sinogram(b.angles, b.nbins, c * b.values))
+    assert len(scaled.history) == len(base.history) == cfg.outer_iters
+    assert np.array_equal(scaled.image.values / c, base.image.values)
+    for h, hc in zip(base.history, scaled.history):
+        assert (hc.fidelity, hc.penalty, hc.step_norm2) == (
+            c * c * h.fidelity, c * c * h.penalty, c * c * h.step_norm2)
 
 
 def test_mlem_rejects_negative_data():
