@@ -6,6 +6,11 @@ penalty-parameter values (averaged over noise realizations) and pick the
 argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
 
+A run's fidelity follows its dataset: least squares for CT data,
+Poisson ML-EM for ET data (BASELINES). The rules of a sweep
+(``check_sweep``) and the centre of its default grid (``sweep_center``)
+are written here once, for the library and the command line.
+
 A sweep's runs, one per (grid value, realization) pair, are independent
 and run on both of the projector's threads (``projector.map_ordered``).
 A comparison puts all of its runs in one such queue: the tv, el and
@@ -28,8 +33,8 @@ import numpy as np
 from . import fileio
 from .grids import Image, RegionMask
 from .projector import SparseOperator, build_projector, map_ordered
-from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov, tv,
-                           tv_l2)
+from .regularizers import (KINDS, Penalty, build_gradient_matrix, el,
+                           tikhonov, tv, tv_l2)
 from .simulate import Dataset
 from .solvers import (NumericalError, ReconResult, SolverConfig, cgls,
                       fixed_point_reconstruct, history_csv,
@@ -52,8 +57,9 @@ def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
     return norm(r - t) / denom
 
 
-# each fidelity's unregularized baseline; every penalty kind runs with both
-BASELINES = {"ls": "cgls", "poisson": "mlem"}
+# each data kind's unregularized baseline; its fidelity, least squares
+# for CT and Poisson ML-EM for ET, is that of every penalty kind too
+BASELINES = {"ct": "cgls", "et": "mlem"}
 
 
 def make_penalty(method: str, mu: float = 0.0,
@@ -72,18 +78,16 @@ def make_penalty(method: str, mu: float = 0.0,
 
 
 def run_method(A: SparseOperator, dataset: Dataset, method: str,
-               fidelity: str, cfg: SolverConfig, realization: int = 0,
+               cfg: SolverConfig, realization: int = 0,
                mu: float = 0.0, beta: float = 0.03) -> ReconResult:
-    """One solver run against one noise realization of a dataset: the
-    fidelity's baseline (BASELINES) or a penalty kind."""
-    if fidelity not in BASELINES:
-        raise ValueError(f"unknown fidelity {fidelity!r}")
+    """One solver run against one noise realization of a dataset: its
+    kind's baseline (BASELINES) or a penalty kind, with its fidelity."""
     kind = make_penalty(method, mu=mu, beta=beta)
-    if kind is None and method != BASELINES[fidelity]:
+    if kind is None and method != BASELINES[dataset.kind]:
         raise ValueError(f"method {method!r} is not supported with "
-                         f"fidelity {fidelity!r}")
+                         f"{dataset.kind} data")
     b, truth = dataset.noisy[realization], dataset.ground_truth
-    if fidelity == "poisson":
+    if dataset.kind == "et":
         return mlem_split_reconstruct(A, b, kind, cfg, ground_truth=truth)
     if kind is None:
         return cgls(A, b, cfg.outer_iters, ground_truth=truth)
@@ -106,8 +110,8 @@ def _probe_scale(A: SparseOperator, dataset: Dataset, kind: Penalty,
 def alpha_scale_heuristic(A: SparseOperator, dataset: Dataset,
                           method: str, mu: float = 0.0,
                           beta: float = 0.03) -> float:
-    """Center of the default sweep grid: the probe scale of the
-    method's penalty matrix at alpha = 1."""
+    """The probe scale of the method's penalty matrix at alpha = 1,
+    where an alpha sweep's default grid is centred."""
     kind = make_penalty(method, mu=mu if mu > 0 else 1.0, beta=beta)
     if kind is None:
         raise ValueError("unregularized methods have no alpha scale")
@@ -121,6 +125,17 @@ def mu_scale_heuristic(A: SparseOperator, dataset: Dataset) -> float:
     return _probe_scale(A, dataset, tv_l2(mu=1.0), 0.0, "curvature")
 
 
+def sweep_center(A: SparseOperator, dataset: Dataset, method: str,
+                 param: str, mu: float = 0.0, beta: float = 0.03) -> float:
+    """Center of a sweep's default grid: alpha at the method's probe
+    scale, mu at its own scale and beta at the fixed beta."""
+    if param == "mu":
+        return mu_scale_heuristic(A, dataset)
+    if param == "beta":
+        return beta
+    return alpha_scale_heuristic(A, dataset, method, mu=mu, beta=beta)
+
+
 def log_grid(center: float, decades: float = 4.0, npoints: int = 15
              ) -> tuple[float, ...]:
     half = decades / 2.0
@@ -128,12 +143,30 @@ def log_grid(center: float, decades: float = 4.0, npoints: int = 15
                  for e in np.linspace(-half, half, npoints))
 
 
+def check_sweep(method: str, param: str, alpha: float, mu: float) -> None:
+    """Raise ValueError unless a sweep of param for method can run: a
+    penalty kind; mu swept only for tvl2 and beta only for el, each at
+    a fixed alpha > 0; and tvl2's alpha swept only at a mu > 0."""
+    if method in BASELINES.values():
+        raise ValueError("cannot sweep an unregularized method")
+    if method not in KINDS:
+        raise ValueError(f"unknown method {method!r}")
+    if param not in ("alpha", "mu", "beta"):
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    for swept, owner in (("mu", "tvl2"), ("beta", "el")):
+        if param == swept and method != owner:
+            raise ValueError(f"sweeping {swept} needs method {owner!r}")
+    if param != "alpha" and not alpha > 0:
+        raise ValueError(f"sweeping {param} requires a fixed alpha > 0")
+    if param == "alpha" and method == "tvl2" and not mu > 0:
+        raise ValueError("method 'tvl2' needs mu > 0")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     method: str
     param: str  # "alpha" | "mu" | "beta"
     values: tuple[float, ...]
-    fidelity: str = "ls"
     alpha: float = 0.0
     mu: float = 0.0
     beta: float = 0.03
@@ -143,14 +176,13 @@ class SweepSpec:
     rho: float = 1e-4
 
     def __post_init__(self):
+        check_sweep(self.method, self.param, self.alpha, self.mu)
         if len(self.values) < 2:
             raise ValueError("sweep needs at least 2 grid points")
         if not self.realizations:
             raise ValueError("sweep needs at least one realization")
         if any(not v > 0 for v in self.values):
             raise ValueError("sweep values must be positive")
-        if self.param not in ("alpha", "mu", "beta"):
-            raise ValueError(f"unknown sweep parameter {self.param!r}")
 
 
 @dataclass
@@ -196,8 +228,8 @@ def _sweep_run(spec: SweepSpec, dataset: Dataset, A: SparseOperator, job):
                        inner_iters=spec.inner_iters, rho=spec.rho,
                        alpha=alpha)
     try:
-        res = run_method(A, dataset, spec.method, spec.fidelity, cfg,
-                         realization=r, mu=mu, beta=beta)
+        res = run_method(A, dataset, spec.method, cfg, realization=r,
+                         mu=mu, beta=beta)
     except NumericalError as exc:
         return SweepRun(value, r, None, error=str(exc)), None, ()
     truth = dataset.ground_truth
@@ -313,14 +345,13 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
         raise ValueError("comparison needs at least one realization")
     if A is None:
         A = build_projector(dataset.recon_projector)
-    fidelity = "poisson" if dataset.kind == "et" else "ls"
-    baseline = BASELINES[fidelity]
+    baseline = BASELINES[dataset.kind]
     has_regions = dataset.gr is not None and dataset.br is not None
 
     def sweep_spec(method, param, center, alpha=0.0):
         return SweepSpec(method=method, param=param,
                          values=log_grid(center, sweep_decades, sweep_points),
-                         fidelity=fidelity, alpha=alpha, beta=beta,
+                         alpha=alpha, beta=beta,
                          realizations=realizations, outer_iters=outer_iters,
                          inner_iters=inner_iters, rho=rho)
 
@@ -337,18 +368,18 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
             gr_rmse=result.gr_mean[i] if has_regions else None,
             br_rmse=result.br_mean[i] if has_regions else None)
 
-    tv_spec = sweep_spec("tv", "alpha", alpha_scale_heuristic(A, dataset, "tv"))
-    mu_center = mu_scale_heuristic(A, dataset)
+    tv_spec = sweep_spec("tv", "alpha",
+                         sweep_center(A, dataset, "tv", "alpha"))
+    mu_center = sweep_center(A, dataset, "tvl2", "mu")
     el_spec = sweep_spec("el", "alpha",
-                         alpha_scale_heuristic(A, dataset, "el", beta=beta))
+                         sweep_center(A, dataset, "el", "alpha", beta=beta))
     cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
                        rho=rho)
 
     def solve(item):
         spec, job = item
         if spec is None:
-            return run_method(A, dataset, baseline, fidelity, cfg,
-                              realization=job)
+            return run_method(A, dataset, baseline, cfg, realization=job)
         return _sweep_run(spec, dataset, A, job)
 
     tv_jobs = [(tv_spec, job) for job in _sweep_jobs(tv_spec)]

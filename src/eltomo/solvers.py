@@ -12,9 +12,10 @@
   one more A', of b. R, built at u = 0 and after each step, gives the
   history its penalty and the next step its matrix: iters + 1 builds.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
-  followed by a few explicit denoising steps against the frozen penalty
-  matrix. Each iterate is forward-projected once: the projection that
-  gives its fidelity also feeds the next EM update. Its step s is the
+  (em_update, whose fixed point ``eltomo verify`` checks) followed by a
+  few explicit denoising steps against the frozen penalty matrix. Each
+  iterate is forward-projected once: the projection that gives its
+  fidelity also feeds the next EM update. Its step s is the
   change of the iterate.
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
@@ -392,6 +393,27 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
 
 # --- MLEM splitting (Poisson fidelity) ------------------------------------
 
+def em_update(A: SparseOperator, b: np.ndarray):
+    """(update, floor, q1) of the unregularized ML-EM update for data b:
+    update(u, q) = u A'(b / q) / s with s = A'1 and q = max(Au, floor),
+    floor = 1e-12 max(A1), is 0 on pixels no ray sees (s = 0); q1 is q
+    of the all-ones image."""
+    sens = A.apply_adjoint(np.ones(A.nrows))
+    dead = sens <= 0.0
+    sens_safe = np.where(dead, 1.0, sens)
+    q1 = A.apply(np.ones(A.ncols))
+    floor = 1e-12 * float(np.max(q1))
+    if floor <= 0.0:
+        raise NumericalError("projector maps the unit image to zero")
+
+    def update(u, q):
+        u_half = u / sens_safe * A.apply_adjoint(b / q)
+        u_half[dead] = 0.0
+        return u_half
+
+    return update, floor, np.maximum(q1, floor)
+
+
 def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
                            kind: Penalty | None, cfg: SolverConfig,
                            ground_truth: Image | None = None) -> ReconResult:
@@ -407,21 +429,13 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
     alpha = cfg.alpha
     regularized = kind is not None and alpha > 0
 
-    u = np.ones(A.ncols)
-    sens = A.apply_adjoint(np.ones(A.nrows))
-    dead = sens <= 0.0
-    sens_safe = np.where(dead, 1.0, sens)
-    q = A.apply(u)
-    floor = 1e-12 * float(np.max(q))
-    if floor <= 0.0:
-        raise NumericalError("projector maps the unit image to zero")
+    update, floor, q1 = em_update(A, bv)
 
     def steps(u, q):
         while True:
             # q is the floored projection of u, carried over from the
             # fidelity of the previous iteration
-            u_half = u / sens_safe * A.apply_adjoint(bv / q)
-            u_half[dead] = 0.0
+            u_half = update(u, q)
             _check_finite(u_half, "mlem step")
 
             if regularized:
@@ -443,8 +457,8 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
             u = u_new
             yield u, fid, pen, step2
 
-    return _run(grid, u, steps(u, np.maximum(q, floor)), cfg.outer_iters,
-                cfg.rho, ground_truth)
+    u = np.ones(A.ncols)
+    return _run(grid, u, steps(u, q1), cfg.outer_iters, cfg.rho, ground_truth)
 
 
 # --- regularization-error bound diagnostic --------------------------------

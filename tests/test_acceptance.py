@@ -59,7 +59,7 @@ def ct_protocol():
         mu = best["tvl2"] if method == "tvl2" else 0.0
         cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4,
                            alpha=alpha)
-        return run_method(A, ds, method, "ls", cfg, mu=mu)
+        return run_method(A, ds, method, cfg, mu=mu)
 
     items = [(k, m) for k in range(len(CT_SEEDS)) for m in CT_METHODS]
     runs = dict(zip(items, map_ordered(evaluate, items)))
@@ -230,7 +230,7 @@ def test_criterion_8_convergence_shape(ct_protocol):
         mu = best["tvl2"] if method == "tvl2" else 0.0
         cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
                            alpha=alpha)
-        res = run_method(A, ds, method, "ls", cfg, mu=mu)
+        res = run_method(A, ds, method, cfg, mu=mu)
         curve = [h.rmse for h in res.history]
         tail = curve[-10:]
         spread = (max(tail) - min(tail)) / curve[-1]

@@ -3,15 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eltomo import metrics, projector, simulate
+from eltomo import metrics, projector, simulate, solvers
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
-from eltomo.metrics import alpha_scale_heuristic, mu_scale_heuristic, rmse
+from eltomo.metrics import (alpha_scale_heuristic, mu_scale_heuristic, rmse,
+                            run_method)
 from eltomo.projector import build_projector
 from eltomo.simulate import load_dataset
-from eltomo.solvers import NumericalError
+from eltomo.solvers import NumericalError, SolverConfig, history_csv
 
 
 def _run(*args):
@@ -33,16 +35,48 @@ def ct_dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def et_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "et"
+    code = _run("simulate", "--experiment", "et", "--et-n", 32,
+                "--n-angles", 16, "--counts", 2e5, "--n-realizations", 1,
+                "--seed", 4, "--out", out)
+    assert code == 0
+    return out
+
+
 def test_regularized_method_rejects_zero_alpha(ct_dataset, tmp_path):
     code = _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
-                "--fidelity", "ls", "--alpha", 0.0, "--out", tmp_path / "r")
+                "--alpha", 0.0, "--out", tmp_path / "r")
     assert code == 2
 
 
-def test_cgls_poisson_pair_rejected(ct_dataset, tmp_path):
-    code = _run("reconstruct", "--dataset", ct_dataset, "--method", "cgls",
-                "--fidelity", "poisson", "--out", tmp_path / "r")
+def test_mlem_on_ct_data_is_rejected(ct_dataset, tmp_path, capsys):
+    code = _run("reconstruct", "--dataset", ct_dataset, "--method", "mlem",
+                "--out", tmp_path / "r")
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: method 'mlem' is not supported with ct data"]
+    assert captured.out == "" and not (tmp_path / "r").exists()
+
+
+def test_unknown_method_is_rejected_before_loading(tmp_path, capsys):
+    assert _run("reconstruct", "--dataset", tmp_path / "nope",
+                "--method", "bogus", "--out", tmp_path / "r") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown method 'bogus'"]
+
+
+def test_et_reconstruct_runs_poisson_ml_em(et_dataset, tmp_path):
+    out = tmp_path / "r"
+    assert _run("reconstruct", "--dataset", et_dataset, "--method", "el",
+                "--alpha", 1e-3, "--outer-iters", 4, "--out", out) == 0
+    ds = load_dataset(et_dataset)
+    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-4, alpha=1e-3)
+    res = run_method(build_projector(ds.recon_projector), ds, "el", cfg)
+    assert (out / "convergence_el.csv").read_bytes() \
+        == history_csv(res).encode()
 
 
 def test_emission_grid_too_small_for_its_hot_spots(tmp_path):
@@ -64,8 +98,7 @@ def test_emission_grid_too_small_for_its_hot_spots(tmp_path):
 
 def test_missing_dataset_is_io_error(tmp_path):
     code = _run("reconstruct", "--dataset", tmp_path / "nope",
-                "--method", "cgls", "--fidelity", "ls",
-                "--out", tmp_path / "r")
+                "--method", "cgls", "--out", tmp_path / "r")
     assert code == 3
 
 
@@ -98,8 +131,7 @@ def test_flags_override_config_file(tmp_path):
 def test_reconstruct_writes_outputs(ct_dataset, tmp_path):
     out = tmp_path / "recon"
     code = _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
-                "--fidelity", "ls", "--alpha", 1e-7, "--outer-iters", 5,
-                "--out", out)
+                "--alpha", 1e-7, "--outer-iters", 5, "--out", out)
     assert code == 0
     assert (out / "recon_el").exists()
     assert (out / "convergence_el.csv").exists()
@@ -134,10 +166,10 @@ def test_sweep_prints_failed_points(ct_dataset, tmp_path, monkeypatch,
                                    capsys):
     original = metrics.run_method
 
-    def failing(A, dataset, method, fidelity, cfg, **kwargs):
+    def failing(A, dataset, method, cfg, **kwargs):
         if cfg.alpha == 1e-6:
             raise NumericalError("non-finite iterate in test")
-        return original(A, dataset, method, fidelity, cfg, **kwargs)
+        return original(A, dataset, method, cfg, **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", failing)
     out = tmp_path / "sw"
@@ -154,7 +186,7 @@ def test_sweep_prints_failed_points(ct_dataset, tmp_path, monkeypatch,
     assert rows[2] == "9.9999999999999995e-07,nan,,"
 
 
-def test_sweep_honours_precondition(ct_dataset, tmp_path):
+def test_sweep_point_equals_reconstruct_at_its_alpha(ct_dataset, tmp_path):
     common = ("--dataset", ct_dataset, "--method", "el", "--outer-iters", 3)
     assert _run("sweep", *common, "--values", "1e-7,1e-6",
                 "--out", tmp_path / "sw") == 0
@@ -258,8 +290,7 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
                     "--out", data) == 0
         recon = root / "recon"
         assert _run("reconstruct", "--dataset", data, "--method", "tv",
-                    "--fidelity", "ls", "--alpha", 1e-6,
-                    "--outer-iters", 5, "--out", recon) == 0
+                    "--alpha", 1e-6, "--outer-iters", 5, "--out", recon) == 0
         trees.append(_tree_bytes(root))
     assert trees[0] == trees[1]
 
@@ -284,8 +315,8 @@ def test_thread_count_leaves_output_bytes_alone(tmp_path, monkeypatch):
                     "--recon-n", 32, "--n-angles", 30, "--seed", 9,
                     "--out", data) == 0
         assert _run("reconstruct", "--dataset", data, "--method", "el",
-                    "--fidelity", "ls", "--alpha", 1e-7,
-                    "--outer-iters", 5, "--out", root / "recon") == 0
+                    "--alpha", 1e-7, "--outer-iters", 5,
+                    "--out", root / "recon") == 0
         trees.append(_tree_bytes(root))
     assert trees[0] == trees[1]
 
@@ -322,7 +353,8 @@ def test_report_bytes_do_not_depend_on_thread_count(simulate, report,
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--sigma", "--eps-rel",
-                                  "--gamma-rel", "--precondition", "--bogus"])
+                                  "--gamma-rel", "--precondition",
+                                  "--fidelity", "--break-adjoint", "--bogus"])
 def test_removed_or_unknown_flag_is_one_error_line(flag, ct_dataset,
                                                    tmp_path, capsys):
     assert _run("reconstruct", "--dataset", ct_dataset, "--method", "el",
@@ -415,14 +447,40 @@ def test_preconditioned_reconstruct_does_not_depend_on_seed(ct_dataset,
     assert len(trees[0]) == 4 and trees[0] == trees[1]
 
 
-def test_verify_passes_and_fault_injection_fails(capsys):
+def test_verify_passes_and_fault_injection_fails(capsys, monkeypatch):
     assert _run("verify", "--trials", 20, "--n", 8) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
-    assert _run("verify", "--trials", 5, "--n", 8, "--break-adjoint",
-                "true") == 1
+    apply_adjoint = projector.SparseOperator.apply_adjoint
+    monkeypatch.setattr(projector.SparseOperator, "apply_adjoint",
+                        lambda self, v: np.roll(apply_adjoint(self, v), 1))
+    assert _run("verify", "--trials", 5, "--n", 8) == 1
     out = capsys.readouterr().out
     assert "FAIL adjoint" in out
+
+
+def test_verify_checks_the_ml_em_solver_update(capsys, monkeypatch):
+    em_update = solvers.em_update
+
+    def wrong(A, b):
+        update, floor, q1 = em_update(A, b)
+        return (lambda u, q: 1.01 * update(u, q)), floor, q1
+
+    monkeypatch.setattr(solvers, "em_update", wrong)
+    assert _run("verify", "--trials", 5, "--n", 8) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "adjoint"], ["PASS", "gradient"],
+        ["FAIL", "mlem_fixed_point"], ["PASS", "error_bound"]]
+
+
+@pytest.mark.parametrize("key", ["fidelity", "break_adjoint"])
+def test_removed_config_key_is_unknown(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=ls\n")
+    assert _run("verify", "--config", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown config key {key!r}"]
 
 
 def test_no_command_is_config_error(capsys):

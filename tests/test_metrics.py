@@ -10,8 +10,9 @@ from eltomo import (EtSimSpec, GridSpec, Image, RegionMask, SolverConfig,
                     projector, rmse, run_comparison, run_method, run_sweep)
 from eltomo.metrics import MethodReport
 from eltomo.projector import build_projector
-from eltomo.solvers import NumericalError, fixed_point_reconstruct
-from eltomo import tikhonov
+from eltomo.solvers import (NumericalError, fixed_point_reconstruct,
+                            history_csv, mlem_split_reconstruct)
+from eltomo import el, tikhonov
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def test_sweep_mean_equals_single_run(small_ct):
     result = run_sweep(spec, ds, A=A)
     for i, value in enumerate(spec.values):
         cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=1e-4, alpha=value)
-        res = run_method(A, ds, "tikhonov", "ls", cfg)
+        res = run_method(A, ds, "tikhonov", cfg)
         assert result.mean_rmse[i] == rmse(res.image, ds.ground_truth)
 
 
@@ -118,14 +119,28 @@ def test_alpha_to_zero_approaches_unregularized(small_ct):
     assert abs(r1 - r0) <= 0.02 * r0
 
 
-@pytest.mark.parametrize("method,fidelity,data", [
-    ("cgls", "poisson", "small_et"), ("mlem", "ls", "small_ct")])
-def test_baseline_of_the_other_fidelity_is_rejected(method, fidelity, data,
-                                                    request):
-    # each pair's data suit its fidelity, so only the method is wrong
+# the ids name the baseline and the fidelity of the data it is run on
+@pytest.mark.parametrize("method,data", [
+    ("cgls", "small_et"), ("mlem", "small_ct")],
+    ids=["cgls-poisson-small_et", "mlem-ls-small_ct"])
+def test_baseline_of_the_other_fidelity_is_rejected(method, data, request):
     ds, A = request.getfixturevalue(data)
-    with pytest.raises(ValueError, match="not supported"):
-        run_method(A, ds, method, fidelity, SolverConfig(outer_iters=2))
+    with pytest.raises(ValueError,
+                       match=f"^method {method!r} is not supported with "
+                             f"{ds.kind} data$"):
+        run_method(A, ds, method, SolverConfig(outer_iters=2))
+
+
+@pytest.mark.parametrize("method", ["el", "mlem"])
+def test_et_data_run_poisson_ml_em(method, small_et):
+    ds, A = small_et
+    cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-8)
+    got = run_method(A, ds, method, cfg)
+    kind = None if method == "mlem" else el()
+    want = mlem_split_reconstruct(A, ds.noisy[0], kind, cfg,
+                                  ground_truth=ds.ground_truth)
+    assert got.image.values.tobytes() == want.image.values.tobytes()
+    assert history_csv(got) == history_csv(want)
 
 
 def test_sweep_validation():
@@ -138,6 +153,28 @@ def test_sweep_validation():
     with pytest.raises(ValueError, match="realization"):
         SweepSpec(method="tv", param="alpha", values=(1.0, 2.0),
                   realizations=())
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"method": "tv", "param": "mu", "alpha": 1e-3},
+     "sweeping mu needs method 'tvl2'"),
+    ({"method": "tv", "param": "beta", "alpha": 1e-3},
+     "sweeping beta needs method 'el'"),
+    ({"method": "tvl2", "param": "mu", "mu": 1e-7},
+     "sweeping mu requires a fixed alpha > 0"),
+    ({"method": "el", "param": "beta", "alpha": 0.0},
+     "sweeping beta requires a fixed alpha > 0"),
+    ({"method": "tvl2", "param": "alpha"}, "method 'tvl2' needs mu > 0"),
+    ({"method": "cgls", "param": "alpha"},
+     "cannot sweep an unregularized method"),
+    ({"method": "mlem", "param": "alpha"},
+     "cannot sweep an unregularized method"),
+], ids=["mu-not-tvl2", "beta-not-el", "mu-no-alpha", "beta-no-alpha",
+        "tvl2-no-mu", "cgls", "mlem"])
+def test_sweep_spec_keeps_the_command_line_rules(fields, message):
+    # the messages are those of test_sweep_parameter_mismatch_is_one_error_line
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepSpec(values=(1.0, 2.0), **fields)
 
 
 def test_comparison_rejects_empty_realizations(small_ct):
@@ -177,8 +214,8 @@ def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
         # oracle: solve the best point again on every realization
         alpha, mu = params[rep.method]
         cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=alpha)
-        results = [run_method(A, ds, rep.method, "poisson", cfg,
-                              realization=r, mu=mu) for r in realizations]
+        results = [run_method(A, ds, rep.method, cfg, realization=r, mu=mu)
+                   for r in realizations]
 
         def mean_rmse(mask=None):
             return float(np.mean([rmse(res.image, ds.ground_truth, mask)
@@ -196,11 +233,11 @@ def test_comparison_raises_on_failed_realization_at_best_point(
     ds, A = small_et
     original = metrics.run_method
 
-    def failing(A, dataset, method, fidelity, cfg, realization=0, **kwargs):
+    def failing(A, dataset, method, cfg, realization=0, **kwargs):
         if method == "el" and realization == 1:
             raise NumericalError("boom")
-        return original(A, dataset, method, fidelity, cfg,
-                        realization=realization, **kwargs)
+        return original(A, dataset, method, cfg, realization=realization,
+                        **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", failing)
     with pytest.raises(NumericalError, match="^boom$"):
@@ -217,19 +254,19 @@ def _on_worker() -> bool:
 def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
                                                 bounded):
     ds, A = small_et
-    spec = SweepSpec(method="el", param="alpha", fidelity="poisson",
+    spec = SweepSpec(method="el", param="alpha",
                      values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
                      outer_iters=3, inner_iters=2)
     original = metrics.run_method
     where = set()
 
-    def failing(A, dataset, method, fidelity, cfg, realization=0, **kwargs):
+    def failing(A, dataset, method, cfg, realization=0, **kwargs):
         where.add(_on_worker())
         time.sleep(0.01)  # leaves the worker time to take runs
         if cfg.alpha == 1e-8 and realization == 1:
             raise NumericalError(f"boom at {cfg.alpha:g}/{realization}")
-        return original(A, dataset, method, fidelity, cfg,
-                        realization=realization, **kwargs)
+        return original(A, dataset, method, cfg, realization=realization,
+                        **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", failing)
     results = []
@@ -397,13 +434,12 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
     original = metrics.run_method
     started: list[str] = []
 
-    def tv_fails(A, dataset, method, fidelity, cfg, realization=0,
-                 **kwargs):
+    def tv_fails(A, dataset, method, cfg, realization=0, **kwargs):
         started.append(method)
         if method == "tv" and failing(realization):
             raise NumericalError(f"tv fails on realization {realization}")
-        return original(A, dataset, method, fidelity, cfg,
-                        realization=realization, **kwargs)
+        return original(A, dataset, method, cfg, realization=realization,
+                        **kwargs)
 
     monkeypatch.setattr(metrics, "run_method", tv_fails)
     with pytest.raises(NumericalError, match=message):
@@ -415,7 +451,7 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
 def test_emit_report_single_method(tmp_path, small_ct):
     ds, A = small_ct
     cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-7)
-    res = run_method(A, ds, "tv", "ls", cfg)
+    res = run_method(A, ds, "tv", cfg)
     rep = MethodReport(method="tv", best_param=1e-7,
                        rmse=rmse(res.image, ds.ground_truth),
                        image=res.image, history_result=res)
