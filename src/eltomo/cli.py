@@ -8,8 +8,8 @@ reproduce the run bit-exactly.
 
 The dataset chooses how it is fitted: CT data by least squares, ET
 data by Poisson ML-EM. The sweep rules and default sweep grids come
-from the metrics module; this one parses, checks the dataset and
-realization arguments and a reconstruct's penalty weights, and runs.
+from the metrics module. Every parameter is checked before the
+projector is built.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O error, 4 numerical failure. Errors print one line to stderr
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fileio, solvers
 from .grids import GridSpec, Image, uniform_angles
-from .metrics import (SweepSpec, check_sweep, emit_report, log_grid,
+from .metrics import (SweepSpec, check_method, emit_report, log_grid,
                       make_penalty, run_comparison, run_method, run_sweep,
                       sweep_center, sweep_csv)
 from .phantoms import (default_ct_descriptor, generate_ct_phantom,
@@ -235,38 +235,47 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _validate_method(cfg: dict) -> None:
+def _dataset(cfg: dict):
+    """(dataset, outer iteration count) of a reconstruct, sweep or
+    report: --outer-iters, or for 0 the data kind's default."""
+    if cfg["outer_iters"] < 0:
+        raise ConfigError(f"outer_iters must be >= 0 (0 selects the "
+                          f"default), got {cfg['outer_iters']}")
+    if not cfg["dataset"]:
+        raise ConfigError(f"{cfg['command']} needs --dataset DIR")
+    ds = load_dataset(cfg["dataset"])
+    return ds, cfg["outer_iters"] or (130 if ds.kind == "et" else 80)
+
+
+def _realizations(cfg: dict, ds) -> tuple[int, ...]:
+    """The first cfg["realizations"] noise realizations of a dataset."""
+    count = cfg["realizations"]
+    if count > len(ds.noisy):
+        raise ConfigError(f"realizations={count} exceeds the dataset's "
+                          f"{len(ds.noisy)}")
+    return tuple(range(count))
+
+
+def cmd_reconstruct(cfg: dict) -> int:
     method = cfg["method"]
     if method in KINDS and not cfg["alpha"] > 0:
         raise ConfigError(f"method {method!r} needs alpha > 0")
     if method == "tvl2" and not cfg["mu"] > 0:
         raise ConfigError("method 'tvl2' needs mu > 0")
     make_penalty(method, mu=cfg["mu"], beta=cfg["beta"])  # before loading
-
-
-def _default_outer(cfg: dict, kind: str) -> int:
-    if cfg["outer_iters"] > 0:
-        return cfg["outer_iters"]
-    return 130 if kind == "et" else 80
-
-
-def cmd_reconstruct(cfg: dict) -> int:
-    _validate_method(cfg)
-    if not cfg["dataset"]:
-        raise ConfigError("reconstruct needs --dataset DIR")
-    ds = load_dataset(cfg["dataset"])
+    ds, outer = _dataset(cfg)
+    check_method(method, ds.kind)
     if cfg["realization"] < 0 or cfg["realization"] >= len(ds.noisy):
         raise ConfigError(f"realization {cfg['realization']} out of range")
     solver_cfg = SolverConfig(
-        outer_iters=_default_outer(cfg, ds.kind),
-        inner_iters=cfg["inner_iters"], rho=cfg["rho"], alpha=cfg["alpha"])
+        outer_iters=outer, inner_iters=cfg["inner_iters"], rho=cfg["rho"],
+        alpha=cfg["alpha"])
     A = build_projector(ds.recon_projector)
-    result = run_method(A, ds, cfg["method"], solver_cfg,
+    result = run_method(A, ds, method, solver_cfg,
                         realization=cfg["realization"], mu=cfg["mu"],
                         beta=cfg["beta"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    method = cfg["method"]
     fileio.save_image(out / f"recon_{method}", result.image)
     (out / f"convergence_{method}.csv").write_text(history_csv(result),
                                                    encoding="utf-8")
@@ -279,25 +288,23 @@ def cmd_reconstruct(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    _validate_sweep(cfg)
-    ds = load_dataset(cfg["dataset"])
-    realos = _realizations(cfg, ds)
-    A = build_projector(ds.recon_projector)
     if cfg["values"]:
         try:
             values = tuple(float(t) for t in cfg["values"].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad values list {cfg['values']!r}") from exc
     else:
-        center = sweep_center(A, ds, cfg["method"], cfg["param"],
-                              mu=cfg["mu"], beta=cfg["beta"])
-        values = log_grid(center, cfg["sweep_decades"], cfg["sweep_points"])
+        values = log_grid(1.0, cfg["sweep_decades"], cfg["sweep_points"])
+    ds, outer = _dataset(cfg)
     spec = SweepSpec(
         method=cfg["method"], param=cfg["param"], values=values,
         alpha=cfg["alpha"], mu=cfg["mu"], beta=cfg["beta"],
-        realizations=realos,
-        outer_iters=_default_outer(cfg, ds.kind),
+        realizations=_realizations(cfg, ds), outer_iters=outer,
         inner_iters=cfg["inner_iters"], rho=cfg["rho"])
+    A = build_projector(ds.recon_projector)
+    if not cfg["values"]:
+        spec = spec.at_center(sweep_center(A, ds, spec.method, spec.param,
+                                           mu=spec.mu, beta=spec.beta))
     result = run_sweep(spec, ds, A=A)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -313,34 +320,11 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _validate_sweep(cfg: dict) -> None:
-    if not cfg["dataset"]:
-        raise ConfigError("sweep needs --dataset DIR")
-    check_sweep(cfg["method"], cfg["param"], cfg["alpha"], cfg["mu"])
-    if cfg["realizations"] < 1:
-        raise ConfigError("realizations must be >= 1")
-
-
-def _realizations(cfg: dict, ds) -> tuple[int, ...]:
-    """The first cfg["realizations"] noise realizations of a dataset."""
-    count = cfg["realizations"]
-    if count > len(ds.noisy):
-        raise ConfigError(f"realizations={count} exceeds the dataset's "
-                          f"{len(ds.noisy)}")
-    return tuple(range(count))
-
-
 def cmd_report(cfg: dict) -> int:
-    if not cfg["dataset"]:
-        raise ConfigError("report needs --dataset DIR")
-    if cfg["realizations"] < 1:
-        raise ConfigError("realizations must be >= 1")
-    ds = load_dataset(cfg["dataset"])
-    outer = _default_outer(cfg, ds.kind)
-    realos = _realizations(cfg, ds)
+    ds, outer = _dataset(cfg)
     reports = run_comparison(
         ds, outer_iters=outer, inner_iters=cfg["inner_iters"],
-        realizations=realos, beta=cfg["beta"],
+        realizations=_realizations(cfg, ds), beta=cfg["beta"],
         sweep_points=cfg["sweep_points"], sweep_decades=cfg["sweep_decades"],
         rho=cfg["rho"])
     out = Path(cfg["out"])

@@ -7,9 +7,10 @@ argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
 
 A run's fidelity follows its dataset: least squares for CT data,
-Poisson ML-EM for ET data (BASELINES). The rules of a sweep
-(``check_sweep``) and the centre of its default grid (``sweep_center``)
-are written here once, for the library and the command line.
+Poisson ML-EM for ET data (BASELINES, ``check_method``). ``SweepSpec``
+holds a sweep's rules and rejects any setting its runs would reject; a
+default grid is built on the unit grid, checked, then moved to
+``sweep_center`` once the projector exists.
 
 A sweep's runs, one per (grid value, realization) pair, are independent
 and run on both of the projector's threads (``projector.map_ordered``).
@@ -25,7 +26,7 @@ thread count, or on the order in which runs finish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,8 @@ import numpy as np
 from . import fileio
 from .grids import Image, RegionMask
 from .projector import SparseOperator, build_projector, map_ordered
-from .regularizers import (KINDS, Penalty, build_gradient_matrix, el,
-                           tikhonov, tv, tv_l2)
+from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov,
+                           tv, tv_l2)
 from .simulate import Dataset
 from .solvers import (NumericalError, ReconResult, SolverConfig, cgls,
                       fixed_point_reconstruct, history_csv,
@@ -77,15 +78,20 @@ def make_penalty(method: str, mu: float = 0.0,
     raise ValueError(f"unknown method {method!r}")
 
 
+def check_method(method: str, data_kind: str) -> None:
+    """Raise ValueError if method is the other data kind's baseline."""
+    if method in BASELINES.values() and method != BASELINES[data_kind]:
+        raise ValueError(f"method {method!r} is not supported with "
+                         f"{data_kind} data")
+
+
 def run_method(A: SparseOperator, dataset: Dataset, method: str,
                cfg: SolverConfig, realization: int = 0,
                mu: float = 0.0, beta: float = 0.03) -> ReconResult:
     """One solver run against one noise realization of a dataset: its
     kind's baseline (BASELINES) or a penalty kind, with its fidelity."""
+    check_method(method, dataset.kind)
     kind = make_penalty(method, mu=mu, beta=beta)
-    if kind is None and method != BASELINES[dataset.kind]:
-        raise ValueError(f"method {method!r} is not supported with "
-                         f"{dataset.kind} data")
     b, truth = dataset.noisy[realization], dataset.ground_truth
     if dataset.kind == "et":
         return mlem_split_reconstruct(A, b, kind, cfg, ground_truth=truth)
@@ -138,32 +144,18 @@ def sweep_center(A: SparseOperator, dataset: Dataset, method: str,
 
 def log_grid(center: float, decades: float = 4.0, npoints: int = 15
              ) -> tuple[float, ...]:
+    if not 0 < decades < math.inf:
+        raise ValueError(f"sweep decades must be finite and > 0: {decades}")
     half = decades / 2.0
     return tuple(center * 10.0 ** e
                  for e in np.linspace(-half, half, npoints))
 
 
-def check_sweep(method: str, param: str, alpha: float, mu: float) -> None:
-    """Raise ValueError unless a sweep of param for method can run: a
-    penalty kind; mu swept only for tvl2 and beta only for el, each at
-    a fixed alpha > 0; and tvl2's alpha swept only at a mu > 0."""
-    if method in BASELINES.values():
-        raise ValueError("cannot sweep an unregularized method")
-    if method not in KINDS:
-        raise ValueError(f"unknown method {method!r}")
-    if param not in ("alpha", "mu", "beta"):
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    for swept, owner in (("mu", "tvl2"), ("beta", "el")):
-        if param == swept and method != owner:
-            raise ValueError(f"sweeping {swept} needs method {owner!r}")
-    if param != "alpha" and not alpha > 0:
-        raise ValueError(f"sweeping {param} requires a fixed alpha > 0")
-    if param == "alpha" and method == "tvl2" and not mu > 0:
-        raise ValueError("method 'tvl2' needs mu > 0")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep of param over values for a penalty method. Construction
+    fails on a setting that a rule below or one of its runs rejects."""
+
     method: str
     param: str  # "alpha" | "mu" | "beta"
     values: tuple[float, ...]
@@ -176,13 +168,40 @@ class SweepSpec:
     rho: float = 1e-4
 
     def __post_init__(self):
-        check_sweep(self.method, self.param, self.alpha, self.mu)
+        if self.method in BASELINES.values():
+            raise ValueError("cannot sweep an unregularized method")
+        if self.param not in ("alpha", "mu", "beta"):
+            raise ValueError(f"unknown sweep parameter {self.param!r}")
+        for swept, owner in (("mu", "tvl2"), ("beta", "el")):
+            if self.param == swept and self.method != owner:
+                raise ValueError(f"sweeping {swept} needs method {owner!r}")
+        if self.param != "alpha" and not self.alpha > 0:
+            raise ValueError(f"sweeping {self.param} requires a fixed "
+                             f"alpha > 0")
+        if (self.param == "alpha" and self.method == "tvl2"
+                and not self.mu > 0):
+            raise ValueError("method 'tvl2' needs mu > 0")
         if len(self.values) < 2:
             raise ValueError("sweep needs at least 2 grid points")
         if not self.realizations:
-            raise ValueError("sweep needs at least one realization")
+            raise ValueError("realizations must be >= 1")
         if any(not v > 0 for v in self.values):
             raise ValueError("sweep values must be positive")
+        for value in self.values:
+            self.run_settings(value)
+
+    def run_settings(self, value: float) -> tuple[SolverConfig, float, float]:
+        """(solver config, mu, beta) of the runs at one grid value."""
+        at = {"alpha": self.alpha, "mu": self.mu, "beta": self.beta}
+        at[self.param] = value
+        make_penalty(self.method, mu=at["mu"], beta=at["beta"])
+        return (SolverConfig(outer_iters=self.outer_iters,
+                             inner_iters=self.inner_iters, rho=self.rho,
+                             alpha=at["alpha"]), at["mu"], at["beta"])
+
+    def at_center(self, center: float) -> SweepSpec:
+        """This spec with its values multiplied by center."""
+        return replace(self, values=tuple(center * v for v in self.values))
 
 
 @dataclass
@@ -217,16 +236,7 @@ def _sweep_run(spec: SweepSpec, dataset: Dataset, A: SparseOperator, job):
     """(SweepRun, the result if it is a first realization's, region
     errors) of one (grid value, realization) run."""
     value, k, r = job
-    alpha, mu, beta = spec.alpha, spec.mu, spec.beta
-    if spec.param == "alpha":
-        alpha = value
-    elif spec.param == "mu":
-        mu = value
-    else:
-        beta = value
-    cfg = SolverConfig(outer_iters=spec.outer_iters,
-                       inner_iters=spec.inner_iters, rho=spec.rho,
-                       alpha=alpha)
+    cfg, mu, beta = spec.run_settings(value)
     try:
         res = run_method(A, dataset, spec.method, cfg, realization=r,
                          mu=mu, beta=beta)
@@ -341,19 +351,27 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
     preconditioned. It stays only while the benchmark's workloads pass
     it, until the next benchmark change (ROADMAP item 1).
     """
-    if not realizations:
-        raise ValueError("comparison needs at least one realization")
-    if A is None:
-        A = build_projector(dataset.recon_projector)
     baseline = BASELINES[dataset.kind]
     has_regions = dataset.gr is not None and dataset.br is not None
+    unit = log_grid(1.0, sweep_decades, sweep_points)
 
-    def sweep_spec(method, param, center, alpha=0.0):
-        return SweepSpec(method=method, param=param,
-                         values=log_grid(center, sweep_decades, sweep_points),
+    def sweep_spec(method, param, alpha=0.0):
+        return SweepSpec(method=method, param=param, values=unit,
                          alpha=alpha, beta=beta,
                          realizations=realizations, outer_iters=outer_iters,
                          inner_iters=inner_iters, rho=rho)
+
+    # every setting is checked before the projector is built
+    tv_spec = sweep_spec("tv", "alpha")
+    el_spec = sweep_spec("el", "alpha")
+    cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
+                       rho=rho)
+    if A is None:
+        A = build_projector(dataset.recon_projector)
+    tv_spec = tv_spec.at_center(sweep_center(A, dataset, "tv", "alpha"))
+    mu_center = sweep_center(A, dataset, "tvl2", "mu")
+    el_spec = el_spec.at_center(
+        sweep_center(A, dataset, "el", "alpha", beta=beta))
 
     def report(spec, outcomes):
         result = gather_sweep(spec, dataset, outcomes)
@@ -367,14 +385,6 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
             history_result=result.best_result, sweep=result,
             gr_rmse=result.gr_mean[i] if has_regions else None,
             br_rmse=result.br_mean[i] if has_regions else None)
-
-    tv_spec = sweep_spec("tv", "alpha",
-                         sweep_center(A, dataset, "tv", "alpha"))
-    mu_center = sweep_center(A, dataset, "tvl2", "mu")
-    el_spec = sweep_spec("el", "alpha",
-                         sweep_center(A, dataset, "el", "alpha", beta=beta))
-    cfg = SolverConfig(outer_iters=outer_iters, inner_iters=inner_iters,
-                       rho=rho)
 
     def solve(item):
         spec, job = item
@@ -397,7 +407,8 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
         if len(tv_outcomes) < len(tv_jobs):
             return ()
         tv = report(tv_spec, [tv_outcomes[j] for j in range(len(tv_jobs))])
-        tvl2_spec = sweep_spec("tvl2", "mu", mu_center, alpha=tv.best_param)
+        tvl2_spec = sweep_spec("tvl2", "mu",
+                               alpha=tv.best_param).at_center(mu_center)
         return [(tvl2_spec, job) for job in _sweep_jobs(tvl2_spec)]
 
     outcomes = map_ordered(solve, tv_jobs + el_jobs + base_jobs, then=then)

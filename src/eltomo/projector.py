@@ -250,6 +250,12 @@ def gaussian_kernel(fwhm_bins: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _psf(views: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Each view (row) convolved along the detector with a unit-sum
+    kernel; the symmetric boundary keeps the map self-adjoint."""
+    return convolve1d(views, kernel, axis=1, mode="reflect")
+
+
 def _buffer(scratch: dict, name: str, shape: tuple, dtype) -> np.ndarray:
     """An uninitialized array of ``shape``: a view of ``scratch[name]``,
     which is allocated again only when it is too small."""
@@ -570,8 +576,7 @@ class SparseOperator:
 
     def _convolve(self, rays: np.ndarray) -> np.ndarray:
         rows = rays.reshape(self.spec.n_angles, self.spec.nbins)
-        return convolve1d(rows, self.psf_kernel, axis=1,
-                          mode="reflect").ravel()
+        return _psf(rows, self.psf_kernel).ravel()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64).ravel()
@@ -700,8 +705,7 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
         views(0)
         views(1)
     if spec.psf_fwhm_bins is not None:
-        out = convolve1d(out, gaussian_kernel(spec.psf_fwhm_bins),
-                         axis=1, mode="reflect")
+        out = _psf(out, gaussian_kernel(spec.psf_fwhm_bins))
     return Sinogram(spec.angles, spec.nbins, out)
 
 
@@ -722,6 +726,5 @@ def apply_psf(s: Sinogram, fwhm_bins: float) -> Sinogram:
     gaussian (symmetric boundary, so the matrix is self-adjoint)."""
     if not fwhm_bins > 0:
         raise ValueError("fwhm_bins must be positive")
-    blurred = convolve1d(s.values, gaussian_kernel(fwhm_bins),
-                         axis=1, mode="reflect")
-    return Sinogram(s.angles, s.nbins, blurred)
+    return Sinogram(s.angles, s.nbins,
+                    _psf(s.values, gaussian_kernel(fwhm_bins)))

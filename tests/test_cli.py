@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eltomo import metrics, projector, simulate, solvers
+from eltomo import cli, metrics, projector, simulate, solvers
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import (alpha_scale_heuristic, mu_scale_heuristic, rmse,
@@ -548,3 +548,129 @@ def test_negative_detector_size_is_one_error_line(tmp_path, capsys):
                 "--recon-n", 20, "--n-angles", 6, "--nbins", 0,
                 "--out", tmp_path / "d") == 0
     assert "nbins=29\n" in (tmp_path / "d" / "provenance.txt").read_text()
+
+
+@pytest.fixture
+def heavy_calls(monkeypatch):
+    """The names of the projector builds, grid-centre heuristics and power
+    iterations a run calls; each such call also raises."""
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return call
+
+    for module in (cli, metrics, projector):
+        monkeypatch.setattr(module, "build_projector",
+                            refuse("build_projector"))
+    for name in ("alpha_scale_heuristic", "mu_scale_heuristic"):
+        monkeypatch.setattr(metrics, name, refuse(name))
+    monkeypatch.setattr(solvers, "power_iteration", refuse("power_iteration"))
+    return calls
+
+
+# every exit-2 case that the parameters and the dataset decide: the
+# command, the dataset ("ct", "et" or a missing directory) and the flags
+@pytest.mark.parametrize("command,data,flags", [
+    ("reconstruct", "ct", ("--method", "el", "--alpha", 0.0)),
+    ("reconstruct", "ct", ("--method", "mlem")),
+    ("reconstruct", "et", ("--method", "cgls")),
+    ("reconstruct", "missing", ("--method", "bogus")),
+    *[("reconstruct", "ct", ("--method", "el", "--alpha", 1e-7, flag, 1))
+      for flag in ("--tau", "--sigma", "--eps-rel", "--gamma-rel",
+                   "--precondition", "--fidelity", "--break-adjoint",
+                   "--bogus")],
+    *[("reconstruct", "ct", flags) for flags in (
+        ("--method", "el", "--alpha", "nan"),
+        ("--method", "el", "--alpha", "inf"),
+        ("--method", "tvl2", "--alpha", 1e-7, "--mu", "nan"),
+        ("--method", "tvl2", "--alpha", 1e-7, "--mu", "inf"),
+        ("--method", "el", "--alpha", 1e-7, "--beta", "inf"),
+        ("--method", "el", "--alpha", 1e-7, "--rho", "nan"),
+        ("--method", "cgls", "--realization", 1),
+        ("--method", "cgls", "--outer-iters", -1))],
+    *[("sweep", "ct", flags) for flags in (
+        ("--method", "tv", "--param", "mu", "--alpha", 1e-3),
+        ("--method", "tv", "--param", "beta", "--alpha", 1e-3),
+        ("--method", "tvl2", "--param", "mu", "--mu", 1e-7),
+        ("--method", "el", "--param", "beta"),
+        ("--method", "tvl2", "--param", "alpha"),
+        ("--method", "cgls",),
+        ("--values", "1,x"),
+        ("--values", 1),
+        ("--values", "1,-2"),
+        ("--values", "1,inf"),
+        ("--rho", 0),
+        ("--inner-iters", -1),
+        ("--sweep-points", 1),
+        ("--sweep-decades", "nan"),
+        ("--beta", "nan"),
+        ("--method", "tvl2", "--mu", "inf"),
+        ("--outer-iters", -1))],
+    *[("report", "ct", flags) for flags in (
+        ("--rho", 0),
+        ("--inner-iters", 0),
+        ("--sweep-points", 0),
+        ("--sweep-decades", "nan"),
+        ("--beta", 0),
+        ("--outer-iters", -3))],
+    *[(command, "ct", ("--method", "tv", "--realizations", count))
+      for command in ("sweep", "report") for count in (0, -1, 2)],
+    ("simulate", "missing", ("--nbins", -3)),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_bad_parameters_end_before_the_heavy_work(command, data, flags,
+                                                  request, tmp_path, capsys,
+                                                  heavy_calls):
+    dataset = (tmp_path / "nope" if data == "missing"
+               else request.getfixturevalue(f"{data}_dataset"))
+    assert _run(command, "--dataset", dataset, *flags,
+                "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and heavy_calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "sweep", "report"])
+def test_negative_outer_iters_is_rejected_before_loading(command, tmp_path,
+                                                         capsys):
+    assert _run(command, "--dataset", tmp_path / "nope", "--method", "cgls",
+                "--outer-iters", -3, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: outer_iters must be >= 0 (0 selects the default), got -3"]
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data,method,default", [("ct", "cgls", 80),
+                                                 ("et", "mlem", 130)])
+def test_zero_outer_iters_selects_the_data_kinds_default(data, method,
+                                                         default, request,
+                                                         tmp_path):
+    dataset = request.getfixturevalue(f"{data}_dataset")
+    trees = []
+    for count in (0, default):
+        out = tmp_path / str(count)
+        assert _run("reconstruct", "--dataset", dataset, "--method", method,
+                    "--outer-iters", count, "--out", out) == 0
+        tree = _tree_bytes(out)
+        del tree["provenance.txt"]  # records the count as given
+        trees.append(tree)
+    assert len(trees[0]) == 4 and trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("decades", ["nan", "inf", 0, -1])
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_sweep_decades_must_be_finite_and_positive(command, decades,
+                                                   ct_dataset, tmp_path,
+                                                   capsys, heavy_calls):
+    assert _run(command, "--dataset", ct_dataset, "--method", "tv",
+                "--sweep-decades", decades, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: sweep decades must be finite and > 0: {float(decades)}"]
+    assert captured.out == "" and heavy_calls == []
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -175,6 +176,28 @@ def test_sweep_spec_keeps_the_command_line_rules(fields, message):
     # the messages are those of test_sweep_parameter_mismatch_is_one_error_line
     with pytest.raises(ValueError, match=f"^{message}$"):
         SweepSpec(values=(1.0, 2.0), **fields)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"rho": 0.0}, "rho must be positive"),
+    ({"inner_iters": 0}, "iteration counts must be >= 1"),
+    ({"outer_iters": 0}, "iteration counts must be >= 1"),
+    ({"values": (1.0, math.inf)}, "alpha must be finite and nonnegative"),
+    ({"beta": math.nan}, "beta must be finite and positive"),
+    ({"method": "tvl2", "mu": math.inf}, "mu must be finite and nonnegative"),
+    ({"method": "tvl2", "param": "mu", "alpha": 1.0,
+      "values": (1.0, math.inf)}, "mu must be finite and nonnegative"),
+    ({"param": "beta", "alpha": 1.0, "values": (1.0, math.inf)},
+     "beta must be finite and positive"),
+    ({"method": "bogus"}, "unknown method 'bogus'"),
+], ids=["rho", "inner", "outer", "alpha-inf", "beta-nan", "mu-inf",
+        "mu-value-inf", "beta-value-inf", "unknown-method"])
+def test_sweep_spec_rejects_what_its_runs_reject(fields, message):
+    # a run's settings are checked when the spec is built, before any
+    # projector exists, not as each run starts
+    spec = {"method": "el", "param": "alpha", "values": (1.0, 2.0), **fields}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepSpec(**spec)
 
 
 def test_comparison_rejects_empty_realizations(small_ct):
