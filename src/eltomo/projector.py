@@ -29,6 +29,16 @@ An optional detector point-spread function (gaussian, unit-sum,
 symmetric boundary) is applied on the sinogram side of both the forward
 and the adjoint map, so the operator pair stays adjoint.
 
+``SparseOperator.apply`` and ``apply_adjoint`` take one vector or an
+(n, k) block of k columns, such as the iterates of runs that advance in
+lockstep. scipy's multi-vector kernels (``csr_matvecs``, ``csc_matvecs``)
+add each column's terms in the order the single-vector ones do, and the
+PSF convolves each detector line alone, so every column of a block
+product is bit-identical to the product of that column alone. A block
+costs less per column: the matrix is read once for all k. A block of
+one column takes the single-vector kernels, which keep each sum in a
+register where the multi-vector ones add every entry through memory.
+
 Projector calls use up to two threads: large operators split their rows
 into two blocks, and large streaming projections split their views. scipy's
 sparse products and numpy's large-array kernels release the interpreter
@@ -251,8 +261,9 @@ def gaussian_kernel(fwhm_bins: float) -> np.ndarray:
 
 
 def _psf(views: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Each view (row) convolved along the detector with a unit-sum
-    kernel; the symmetric boundary keeps the map self-adjoint."""
+    """Each detector line convolved with a unit-sum kernel along axis 1
+    of (views, bins) or (views, bins, k) values; the symmetric boundary
+    keeps the map self-adjoint."""
     return convolve1d(views, kernel, axis=1, mode="reflect")
 
 
@@ -547,11 +558,13 @@ def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
 class SparseOperator:
     """Precomputed CSR projection matrix with optional detector PSF.
 
-    A matrix with at least SPLIT_NNZ entries is applied as two row
-    blocks, one per thread. The forward product is bitwise equal to
-    ``matrix @ u``; the adjoint adds the two blocks' transposed products
-    in a fixed order, so it rounds differently from ``matrix.T @ y`` but
-    never depends on the thread count.
+    Products take one vector or an (n, k) block of columns, each column
+    bit-identical to its own product. A matrix with at least SPLIT_NNZ
+    entries is applied as two row blocks, one per thread. The forward
+    product is bitwise equal to ``matrix @ u``; the adjoint adds the two
+    blocks' transposed products in a fixed order, so it rounds
+    differently from ``matrix.T @ y`` but never depends on the thread
+    count.
     """
 
     def __init__(self, matrix: sp.csr_matrix, spec: ProjectorSpec):
@@ -575,13 +588,37 @@ class SparseOperator:
         return self.matrix.shape[1]
 
     def _convolve(self, rays: np.ndarray) -> np.ndarray:
-        rows = rays.reshape(self.spec.n_angles, self.spec.nbins)
-        return _psf(rows, self.psf_kernel).ravel()
+        """The PSF on the rays of a vector or of each column of a block."""
+        lines = rays.reshape((self.spec.n_angles, self.spec.nbins)
+                             + rays.shape[1:])
+        return _psf(lines, self.psf_kernel).reshape(rays.shape)
+
+    @staticmethod
+    def _operand(x, size: int, what: str) -> np.ndarray:
+        """x as float64: an (size, k) block stays 2-D, anything else is
+        raveled to one vector of ``size`` entries."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            x = x.ravel()
+        if x.shape[0] != size:
+            raise ValueError(f"expected {size} {what}, got {x.shape[0]}")
+        return x
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64).ravel()
-        if u.size != self.ncols:
-            raise ValueError(f"expected {self.ncols} pixels, got {u.size}")
+        """A u of a vector, or of each column of an (ncols, k) block."""
+        u = self._operand(u, self.ncols, "pixels")
+        if u.shape[1:] == (1,):
+            return self._forward(u[:, 0])[:, None]
+        return self._forward(u)
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A' y of a vector, or of each column of an (nrows, k) block."""
+        y = self._operand(y, self.nrows, "rays")
+        if y.shape[1:] == (1,):
+            return self._backward(y[:, 0])[:, None]
+        return self._backward(y)
+
+    def _forward(self, u: np.ndarray) -> np.ndarray:
         if len(self.blocks) == 1:
             y = self.matrix @ u
         else:
@@ -590,10 +627,7 @@ class SparseOperator:
                                          lambda: bottom @ u))
         return self._convolve(y) if self.psf_kernel is not None else y
 
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != self.nrows:
-            raise ValueError(f"expected {self.nrows} rays, got {y.size}")
+    def _backward(self, y: np.ndarray) -> np.ndarray:
         if self.psf_kernel is not None:
             y = self._convolve(y)
         if len(self._adjoints) == 1:

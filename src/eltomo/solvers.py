@@ -17,15 +17,24 @@
   iterate is forward-projected once: the projection that gives its
   fidelity also feeds the next EM update. Its step s is the
   change of the iterate.
+* mlem_batch: the same ML-EM loop for a batch of runs that share the
+  projector (a sweep's runs), each with its own data, penalty and
+  config. The runs advance in lockstep: one block product (an (n, k)
+  block, see the projector) per EM half-step serves every run still
+  going, and each column is bit-identical to the run's own product.
+  Denoising, the step bound, the record and the stop stay per run; a
+  run leaves the batch when it stops or raises NumericalError.
+  mlem_split_reconstruct is the batch of one.
 * verify_error_bound: dense random trials of the regularization-error
   inequality |R h_a| <= a |R M^-1 N u|.
 
-The three reconstructions share one outer loop, _run. It takes a
-solver's generator of (u, fidelity, penalty, |s|^2), one item per outer
-iteration, records the history and stops after the first item with
-|s|^2 <= rho (cgls passes -inf). terminated_early is True after that
-stop, even on the last allowed iteration, or after a cgls breakdown (a
-zero search direction); otherwise False.
+Every run records its history and stops by one rule, _Record: after
+the first iterate with |s|^2 <= rho (cgls passes -inf) or after its
+iteration limit. terminated_early is True after that stop, even on the
+last allowed iteration, or after a cgls breakdown (a zero search
+direction); otherwise False. cgls and fixed_point_reconstruct are
+generators of (u, fidelity, penalty, |s|^2), one item per outer
+iteration, that _run records; mlem_batch keeps one _Record per run.
 
 R is the penalty matrix alpha R(u) of the regularizers module, with the
 weight alpha in its diagonals, and the history's penalty is the
@@ -64,7 +73,6 @@ verify_error_bound, a dense desk-scale diagnostic, uses LAPACK.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 import weakref
@@ -211,27 +219,51 @@ def penalty_eigenvalue(m: sp.dia_matrix) -> float:
     return float(np.max(w / v))
 
 
-# --- the outer loop the three solvers share -----------------------------
+# --- the history and stop rule every run shares --------------------------
+
+class _Record:
+    """One run's history and stop rule: each iterate is recorded with the
+    error |u - truth| / |truth| (None without a truth, inf or nan for a
+    zero one), and the run is over after the first with step_norm2 <=
+    rho or after ``iters`` of them."""
+
+    def __init__(self, grid: GridSpec, u0: np.ndarray, iters: int,
+                 rho: float, ground_truth: Image | None):
+        self.grid, self.u, self.iters, self.rho = grid, u0, iters, rho
+        self.truth = None if ground_truth is None else ground_truth.ravel()
+        self.scale = (None if self.truth is None
+                      else np.float64(norm(self.truth)))
+        self.history: list[HistoryRecord] = []
+        self.stopped = False
+
+    def add(self, u: np.ndarray, fid: float, pen: float,
+            step2: float) -> bool:
+        """Record one iterate; True once the run is over."""
+        err = (None if self.truth is None
+               else float(norm(u - self.truth) / self.scale))
+        self.u = u
+        self.history.append(HistoryRecord(len(self.history) + 1, fid + pen,
+                                          fid, pen, step2, err))
+        self.stopped = step2 <= self.rho
+        return self.stopped or len(self.history) == self.iters
+
+    def result(self) -> ReconResult:
+        """The last iterate (u0 if none) and the history; the run ended
+        early on the stop, or if it recorded fewer than ``iters``."""
+        return ReconResult(Image(self.grid, self.u), self.history,
+                           self.stopped or len(self.history) < self.iters)
+
 
 def _run(grid: GridSpec, u0: np.ndarray, steps, iters: int, rho: float,
          ground_truth: Image | None) -> ReconResult:
-    """Record the first ``iters`` (u, fidelity, penalty, step_norm2)
-    items of ``steps`` with the error |u - truth| / |truth| (None without
-    a truth, inf or nan for a zero one), stopping after the first with
-    step_norm2 <= rho. The run ends early on that stop, or when ``steps``
-    runs out first (a cgls breakdown); u0 is the image if it yields
-    nothing."""
-    truth = None if ground_truth is None else ground_truth.ravel()
-    scale = None if truth is None else np.float64(norm(truth))
-    u = u0
-    history: list[HistoryRecord] = []
-    for k, (u, fid, pen, step2) in enumerate(
-            itertools.islice(steps, iters), start=1):
-        err = None if truth is None else float(norm(u - truth) / scale)
-        history.append(HistoryRecord(k, fid + pen, fid, pen, step2, err))
-        if step2 <= rho:
-            return ReconResult(Image(grid, u), history, True)
-    return ReconResult(Image(grid, u), history, len(history) < iters)
+    """Record the (u, fidelity, penalty, step_norm2) items of ``steps``
+    until the run is over (_Record); no item is asked for after that.
+    A run whose ``steps`` runs out first (a cgls breakdown) ends early."""
+    record = _Record(grid, u0, iters, rho, ground_truth)
+    for item in steps:
+        if record.add(*item):
+            break
+    return record.result()
 
 
 # --- CGLS ----------------------------------------------------------------
@@ -397,7 +429,12 @@ def em_update(A: SparseOperator, b: np.ndarray):
     """(update, floor, q1) of the unregularized ML-EM update for data b:
     update(u, q) = u A'(b / q) / s with s = A'1 and q = max(Au, floor),
     floor = 1e-12 max(A1), is 0 on pixels no ray sees (s = 0); q1 is q
-    of the all-ones image."""
+    of the all-ones image.
+
+    b may also be an (nrows, k) block of k runs' data, and then u and q
+    are (n, k) blocks with a column per run: one block product serves
+    them all. ``update(u, q, b=...)`` takes other data of u's shape,
+    such as the columns of the runs that are still going."""
     sens = A.apply_adjoint(np.ones(A.nrows))
     dead = sens <= 0.0
     sens_safe = np.where(dead, 1.0, sens)
@@ -406,12 +443,120 @@ def em_update(A: SparseOperator, b: np.ndarray):
     if floor <= 0.0:
         raise NumericalError("projector maps the unit image to zero")
 
-    def update(u, q):
-        u_half = u / sens_safe * A.apply_adjoint(b / q)
+    def update(u, q, b=b):
+        s = sens_safe.reshape(sens_safe.shape + (1,) * (u.ndim - 1))
+        u_half = u / s * A.apply_adjoint(b / q)
         u_half[dead] = 0.0
         return u_half
 
     return update, floor, np.maximum(q1, floor)
+
+
+@dataclass(frozen=True)
+class MlemRun:
+    """One run of an ML-EM batch: its Poisson data, penalty (None for
+    plain ML-EM), configuration and optional ground truth."""
+    b: Sinogram
+    kind: Penalty | None
+    cfg: SolverConfig
+    ground_truth: Image | None = None
+
+
+def _columns(vectors: list[np.ndarray]) -> np.ndarray:
+    """The vectors as the columns of one block."""
+    return np.stack(vectors, axis=1)
+
+
+def _rows(block: np.ndarray) -> np.ndarray:
+    """The columns of a block as contiguous rows, so every later
+    elementwise pass and sum runs on contiguous memory as it would on a
+    run's own vector."""
+    return block.T.copy()
+
+
+def _regularized(run: MlemRun) -> bool:
+    return run.kind is not None and run.cfg.alpha > 0
+
+
+def _denoise(run: MlemRun, grid: GridSpec, u_half: np.ndarray) -> np.ndarray:
+    """The explicit denoising steps of one run's iteration, against the
+    penalty matrix frozen at the post-EM iterate u_half."""
+    _check_finite(u_half, "mlem step")
+    if not _regularized(run):
+        return u_half
+    R = build_gradient_matrix(run.kind, Image(grid, u_half), run.cfg.alpha)
+    tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
+    f = u_half.copy()
+    for _ in range(run.cfg.inner_iters):
+        f = f - tau * ((f - u_half) + R.matrix @ f)
+    u_new = np.maximum(f, 0.0)
+    _check_finite(u_new, "mlem denoising")
+    return u_new
+
+
+def mlem_batch(A: SparseOperator,
+               runs: list[MlemRun]) -> list[ReconResult | NumericalError]:
+    """ML-EM runs that share the projector, advanced in lockstep: each
+    run's ReconResult, or the NumericalError it raised.
+
+    Every outer iteration makes one EM update (em_update, A'1 and A1
+    computed once for the batch) and one forward projection for all
+    runs still going, each as a single block product, and in between
+    each run's own denoising steps against its penalty matrix. A run
+    leaves the batch when it stops (_Record) or raises NumericalError;
+    the others go on. Each column of a block product is bit-identical
+    to a run's own product, so every run's image and history are those
+    it has alone."""
+    if not runs:
+        return []
+    data = []
+    for run in runs:
+        bv = run.b.ravel()
+        if bv.size != A.nrows:
+            raise ValueError("sinogram does not match operator shape")
+        if np.any(bv < 0):
+            raise ValueError("Poisson data must be nonnegative")
+        data.append(bv)
+    b_live = _columns(data)
+    try:
+        update, floor, q1 = em_update(A, b_live)
+    except NumericalError as exc:
+        return [exc] * len(runs)
+    grid = A.spec.grid
+    records = [_Record(grid, np.ones(A.ncols), run.cfg.outer_iters,
+                       run.cfg.rho, run.ground_truth) for run in runs]
+    outcomes: list[ReconResult | NumericalError | None] = [None] * len(runs)
+    us = [record.u for record in records]
+    # each run's floored projection of u, carried over from the fidelity
+    # of the previous iteration
+    qs = [q1] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        halves = _rows(update(_columns([us[i] for i in live]),
+                              _columns([qs[i] for i in live]), b=b_live))
+        denoised = []
+        for i, u_half in zip(live, halves):
+            try:
+                denoised.append((i, _denoise(runs[i], grid, u_half)))
+            except NumericalError as exc:
+                outcomes[i] = exc
+        projections = (_rows(A.apply(_columns([u for _, u in denoised])))
+                       if denoised else ())
+        for (i, u_new), y in zip(denoised, projections):
+            run = runs[i]
+            q = np.maximum(y, floor)
+            fid = float(np.sum(q - data[i] * np.log(q)))
+            pen = (penalty_value(run.kind, Image(grid, u_new), run.cfg.alpha)
+                   if _regularized(run) else 0.0)
+            step2 = float(np.sum((u_new - us[i]) ** 2))
+            us[i], qs[i] = u_new, q
+            if records[i].add(u_new, fid, pen, step2):
+                outcomes[i] = records[i].result()
+        going = [i for i in live if outcomes[i] is None]
+        if going and going != live:
+            b_live = _columns([data[i] for i in going])
+        live = going
+    return outcomes
 
 
 def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
@@ -419,46 +564,12 @@ def mlem_split_reconstruct(A: SparseOperator, b: Sinogram,
                            ground_truth: Image | None = None) -> ReconResult:
     """Multiplicative ML-EM step followed by explicit denoising steps
     f <- f - tau ((f - f0) + R f) against the matrix frozen at the
-    post-EM iterate. Starts from all ones; iterates stay nonnegative."""
-    bv = b.ravel()
-    if bv.size != A.nrows:
-        raise ValueError("sinogram does not match operator shape")
-    if np.any(bv < 0):
-        raise ValueError("Poisson data must be nonnegative")
-    grid = A.spec.grid
-    alpha = cfg.alpha
-    regularized = kind is not None and alpha > 0
-
-    update, floor, q1 = em_update(A, bv)
-
-    def steps(u, q):
-        while True:
-            # q is the floored projection of u, carried over from the
-            # fidelity of the previous iteration
-            u_half = update(u, q)
-            _check_finite(u_half, "mlem step")
-
-            if regularized:
-                R = build_gradient_matrix(kind, Image(grid, u_half), alpha)
-                tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
-                f = u_half.copy()
-                for _ in range(cfg.inner_iters):
-                    f = f - tau * ((f - u_half) + R.matrix @ f)
-                u_new = np.maximum(f, 0.0)
-            else:
-                u_new = u_half
-            _check_finite(u_new, "mlem denoising")
-
-            q = np.maximum(A.apply(u_new), floor)
-            fid = float(np.sum(q - bv * np.log(q)))
-            pen = (penalty_value(kind, Image(grid, u_new), alpha)
-                   if regularized else 0.0)
-            step2 = float(np.sum((u_new - u) ** 2))
-            u = u_new
-            yield u, fid, pen, step2
-
-    u = np.ones(A.ncols)
-    return _run(grid, u, steps(u, q1), cfg.outer_iters, cfg.rho, ground_truth)
+    post-EM iterate. Starts from all ones; iterates stay nonnegative.
+    The batch of one run (mlem_batch)."""
+    (outcome,) = mlem_batch(A, [MlemRun(b, kind, cfg, ground_truth)])
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
 
 # --- regularization-error bound diagnostic --------------------------------

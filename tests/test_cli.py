@@ -605,6 +605,7 @@ def heavy_calls(monkeypatch):
         ("--rho", 0),
         ("--inner-iters", -1),
         ("--sweep-points", 1),
+        ("--sweep-points", -1),
         ("--sweep-decades", "nan"),
         ("--beta", "nan"),
         ("--method", "tvl2", "--mu", "inf"),
@@ -613,6 +614,7 @@ def heavy_calls(monkeypatch):
         ("--rho", 0),
         ("--inner-iters", 0),
         ("--sweep-points", 0),
+        ("--sweep-points", -2),
         ("--sweep-decades", "nan"),
         ("--beta", 0),
         ("--outer-iters", -3))],
@@ -660,6 +662,18 @@ def test_zero_outer_iters_selects_the_data_kinds_default(data, method,
         del tree["provenance.txt"]  # records the count as given
         trees.append(tree)
     assert len(trees[0]) == 4 and trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("points", [1, 0, -1, -2])
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_sweep_points_below_two_name_the_rule(command, points, ct_dataset,
+                                              tmp_path, capsys, heavy_calls):
+    assert _run(command, "--dataset", ct_dataset, "--method", "tv",
+                "--sweep-points", points, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: sweep needs at least 2 grid points"]
+    assert captured.out == "" and heavy_calls == []
 
 
 @pytest.mark.parametrize("decades", ["nan", "inf", 0, -1])

@@ -25,6 +25,27 @@ def small_et():
     return ds, build_projector(ds.recon_projector)
 
 
+def _hook_runs(monkeypatch, hook):
+    """Call ``hook(run)`` for each ET run as its lockstep batch starts,
+    on the batch's thread: a NumericalError it raises is that run's
+    outcome, and any other exception leaves the batch."""
+    original = metrics.run_lockstep
+
+    def hooked(A, dataset, runs):
+        failed = {}
+        for i, run in enumerate(runs):
+            try:
+                hook(run)
+            except NumericalError as exc:
+                failed[i] = exc
+        solved = iter(original(A, dataset, [run for i, run in enumerate(runs)
+                                            if i not in failed]))
+        return [failed[i] if i in failed else next(solved)
+                for i in range(len(runs))]
+
+    monkeypatch.setattr(metrics, "run_lockstep", hooked)
+
+
 def test_rmse_identities(rng):
     grid = GridSpec(8, 8)
     truth = Image(grid, rng.random(64) + 0.5)
@@ -254,15 +275,12 @@ def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
 def test_comparison_raises_on_failed_realization_at_best_point(
         small_et, monkeypatch):
     ds, A = small_et
-    original = metrics.run_method
 
-    def failing(A, dataset, method, cfg, realization=0, **kwargs):
-        if method == "el" and realization == 1:
+    def failing(run):
+        if run.method == "el" and run.realization == 1:
             raise NumericalError("boom")
-        return original(A, dataset, method, cfg, realization=realization,
-                        **kwargs)
 
-    monkeypatch.setattr(metrics, "run_method", failing)
+    _hook_runs(monkeypatch, failing)
     with pytest.raises(NumericalError, match="^boom$"):
         run_comparison(ds, outer_iters=3, inner_iters=2, realizations=(0, 1),
                        sweep_points=2, A=A)
@@ -280,18 +298,17 @@ def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
     spec = SweepSpec(method="el", param="alpha",
                      values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
                      outer_iters=3, inner_iters=2)
-    original = metrics.run_method
     where = set()
 
-    def failing(A, dataset, method, cfg, realization=0, **kwargs):
+    def failing(run):
         where.add(_on_worker())
-        time.sleep(0.01)  # leaves the worker time to take runs
-        if cfg.alpha == 1e-8 and realization == 1:
-            raise NumericalError(f"boom at {cfg.alpha:g}/{realization}")
-        return original(A, dataset, method, cfg, realization=realization,
-                        **kwargs)
+        time.sleep(0.01)  # leaves the worker time to take batches
+        if run.cfg.alpha == 1e-8 and run.realization == 1:
+            raise NumericalError(f"boom at {run.cfg.alpha:g}/"
+                                 f"{run.realization}")
 
-    monkeypatch.setattr(metrics, "run_method", failing)
+    _hook_runs(monkeypatch, failing)
+    monkeypatch.setattr(metrics, "ET_BATCH", 2)  # three batches of two
     results = []
     for threads in (1, 2):
         monkeypatch.setattr(projector, "THREADS", threads)
@@ -359,25 +376,25 @@ def _comparison(ds, A, bounded):
 def test_concurrent_comparison_matches_serial(small_et, two_threads,
                                               monkeypatch, bounded):
     ds, A = small_et
-    original = metrics.run_method
     where = set()
-
-    def recorded(*args, **kwargs):
-        where.add(_on_worker())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "run_method", recorded)
+    _hook_runs(monkeypatch, lambda run: where.add(_on_worker()))
     concurrent = _comparison(ds, A, bounded)
     assert where == {False, True}
     monkeypatch.setattr(projector, "THREADS", 1)
     where.clear()
     serial = _comparison(ds, A, bounded)
     assert where == {False}
-    for got, want in zip(concurrent, serial, strict=True):
+    _assert_same_reports(concurrent, serial)
+
+
+def _assert_same_reports(reports, expected):
+    for got, want in zip(reports, expected, strict=True):
         assert got.method == want.method
         assert got.best_param == want.best_param
         assert got.image.values.tobytes() == want.image.values.tobytes()
         assert got.history_result.history == want.history_result.history
+        assert (got.history_result.terminated_early
+                == want.history_result.terminated_early)
         assert (got.rmse, got.gr_rmse, got.br_rmse) == (
             want.rmse, want.gr_rmse, want.br_rmse)
         if want.sweep is None:
@@ -389,19 +406,45 @@ def test_concurrent_comparison_matches_serial(small_et, two_threads,
                                getattr(want.sweep, name))
 
 
+def test_et_comparison_depends_on_neither_threads_nor_batches(
+        small_et, monkeypatch, bounded):
+    ds, A = small_et
+    default = metrics.ET_BATCH
+    results = []
+    for threads in (1, 2):
+        for cap in (1, 2, default):
+            monkeypatch.setattr(projector, "THREADS", threads)
+            monkeypatch.setattr(metrics, "ET_BATCH", cap)
+            results.append(_comparison(ds, A, bounded))
+    for reports in results[1:]:
+        _assert_same_reports(reports, results[0])
+
+
+def test_et_sweeps_queue_near_equal_batches(small_et, small_ct, monkeypatch):
+    jobs = list(range(7))
+    monkeypatch.setattr(metrics, "ET_BATCH", 3)
+    assert metrics._batches(small_et[0], jobs) == [[0, 1], [2, 3], [4, 5, 6]]
+    monkeypatch.setattr(metrics, "ET_BATCH", 7)
+    assert metrics._batches(small_et[0], jobs) == [jobs]
+    assert metrics._batches(small_et[0], jobs, least=2) == [jobs[:3],
+                                                            jobs[3:]]
+    assert metrics._batches(small_et[0], jobs[:1], least=2) == [jobs[:1]]
+    assert metrics._batches(small_ct[0], jobs) == [[job] for job in jobs]
+
+
 def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
                                               monkeypatch, bounded):
     # the first tv run waits until an el run has started, and the
     # second-to-last el run until a tvl2 run has: both can only happen
     # if tvl2 joins the queue ahead of el runs that are already in it
     ds, A = small_et
-    original = metrics.run_method
     lock = threading.Lock()
     started: list[str] = []
     el_started, tvl2_started = threading.Event(), threading.Event()
     waited: list[bool] = []
 
-    def ordered(A, dataset, method, *args, **kwargs):
+    def ordered(run):
+        method = run.method
         with lock:
             started.append(method)
             count = started.count(method)
@@ -413,9 +456,9 @@ def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
             waited.append(el_started.wait(timeout=20))
         if method == "el" and count == 3:  # of 4: 2 points x 2 realizations
             waited.append(tvl2_started.wait(timeout=20))
-        return original(A, dataset, method, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "run_method", ordered)
+    _hook_runs(monkeypatch, ordered)
+    monkeypatch.setattr(metrics, "ET_BATCH", 1)  # one run per item
     _comparison(ds, A, bounded)
     assert waited == [True, True]
     last_el = len(started) - 1 - started[::-1].index("el")
@@ -427,20 +470,19 @@ def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
 def test_value_error_in_a_worker_tv_run_ends_the_comparison(
         small_et, two_threads, monkeypatch, bounded):
     ds, A = small_et
-    original = metrics.run_method
     started: list[str] = []
     worker_failed = threading.Event()
 
-    def worker_fails(A, dataset, method, *args, **kwargs):
-        started.append(method)
-        if method == "tv" and _on_worker():
+    def worker_fails(run):
+        started.append(run.method)
+        if run.method == "tv" and _on_worker():
             worker_failed.set()
             raise ValueError("bad input on the worker")
-        if method == "tv":
+        if run.method == "tv":
             assert worker_failed.wait(timeout=20)
-        return original(A, dataset, method, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "run_method", worker_fails)
+    _hook_runs(monkeypatch, worker_fails)
+    monkeypatch.setattr(metrics, "ET_BATCH", 1)  # a tv item on each thread
     with pytest.raises(ValueError, match="bad input on the worker"):
         _comparison(ds, A, bounded)
     assert worker_failed.is_set()
@@ -454,17 +496,15 @@ def test_value_error_in_a_worker_tv_run_ends_the_comparison(
 def test_failed_tv_sweep_raises_before_any_tvl2_run(
         failing, message, small_et, two_threads, monkeypatch, bounded):
     ds, A = small_et
-    original = metrics.run_method
     started: list[str] = []
 
-    def tv_fails(A, dataset, method, cfg, realization=0, **kwargs):
-        started.append(method)
-        if method == "tv" and failing(realization):
-            raise NumericalError(f"tv fails on realization {realization}")
-        return original(A, dataset, method, cfg, realization=realization,
-                        **kwargs)
+    def tv_fails(run):
+        started.append(run.method)
+        if run.method == "tv" and failing(run.realization):
+            raise NumericalError(f"tv fails on realization "
+                                 f"{run.realization}")
 
-    monkeypatch.setattr(metrics, "run_method", tv_fails)
+    _hook_runs(monkeypatch, tv_fails)
     with pytest.raises(NumericalError, match=message):
         _comparison(ds, A, bounded)
     assert started.count("tv") == 4

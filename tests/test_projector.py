@@ -249,6 +249,37 @@ def test_output_bytes_independent_of_thread_count(fwhm, split_low,
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+@pytest.mark.parametrize("fwhm", [None, 3.0])
+def test_block_products_are_bytewise_column_products(fwhm, split, threads,
+                                                     monkeypatch, rng):
+    monkeypatch.setattr(projector, "THREADS", threads)
+    if split:
+        monkeypatch.setattr(projector, "SPLIT_NNZ", 1000)
+    A = build_projector(_spec(GridSpec(32, 32), 20, "strip", fwhm=fwhm))
+    assert len(A.blocks) == (2 if split else 1)
+    column = np.ascontiguousarray
+    for k in (1, 2, 5):
+        u = rng.standard_normal((A.ncols, k))
+        y = rng.standard_normal((A.nrows, k))
+        au, aty = A.apply(u), A.apply_adjoint(y)
+        assert au.shape == (A.nrows, k) and aty.shape == (A.ncols, k)
+        for j in range(k):
+            assert (A.apply(column(u[:, j])).tobytes()
+                    == column(au[:, j]).tobytes())
+            assert (A.apply_adjoint(column(y[:, j])).tobytes()
+                    == column(aty[:, j]).tobytes())
+
+
+def test_block_products_check_their_rows():
+    A = build_projector(_spec(GridSpec(8, 8), 5, "linear"))
+    with pytest.raises(ValueError, match=f"expected {A.ncols} pixels"):
+        A.apply(np.ones((A.ncols + 1, 2)))
+    with pytest.raises(ValueError, match=f"expected {A.nrows} rays"):
+        A.apply_adjoint(np.ones((A.nrows - 1, 2)))
+
+
 def test_below_floor_stays_on_the_calling_thread(monkeypatch):
     def no_pair(first, second):
         raise AssertionError("work handed to the pool below the floor")

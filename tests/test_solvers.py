@@ -22,8 +22,9 @@ from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
 from eltomo import metrics, projector, solvers
 from eltomo.metrics import SweepSpec, run_sweep
 from eltomo.regularizers import build_gradient_matrix, penalty_value
-from eltomo.solvers import (NumericalError, _factorized_preconditioner,
-                            estimate_sigma, penalty_eigenvalue)
+from eltomo.solvers import (MlemRun, NumericalError,
+                            _factorized_preconditioner, estimate_sigma,
+                            history_csv, mlem_batch, penalty_eigenvalue)
 
 
 def _operator(n=16, n_angles=20, kernel="linear", fwhm=None):
@@ -408,6 +409,65 @@ def test_mlem_evaluates_one_penalty_per_iteration(rho, monkeypatch):
     assert 1 < len(res.history) <= cfg.outer_iters
     assert calls == {"build_gradient_matrix": len(res.history),
                      "penalty_value": len(res.history)}
+
+
+def test_batch_runs_equal_their_runs_alone(monkeypatch):
+    # tv, el, tvl2 and plain ML-EM on two realizations (PSF on), one run
+    # that stops early on rho and one on NaN data that fails at once
+    ds = make_et_dataset(EtSimSpec(grid=GridSpec(32, 32), n_angles=16,
+                                   total_counts=2e5, n_realizations=2,
+                                   seed=3))
+    A = build_projector(ds.recon_projector)
+    truth = ds.ground_truth
+    b0, b1 = ds.noisy
+    nan = np.full(A.nrows, np.nan)  # a Sinogram would refuse it
+    mu = metrics.mu_scale_heuristic(A, ds)
+    alpha = {m: metrics.alpha_scale_heuristic(A, ds, m, mu=mu)
+             for m in ("tv", "el", "tvl2")}
+
+    def cfg(a, rho=1e-30):
+        return SolverConfig(outer_iters=8, inner_iters=3, rho=rho, alpha=a)
+
+    steps = [h.step_norm2 for h in
+             mlem_split_reconstruct(A, b1, None, cfg(0.0)).history]
+    runs = [MlemRun(b0, tv(), cfg(alpha["tv"]), truth),
+            MlemRun(b1, el(), cfg(alpha["el"]), truth),
+            MlemRun(nan, el(), cfg(alpha["el"]), truth),
+            MlemRun(b0, tv_l2(mu), cfg(alpha["tvl2"]), truth),
+            MlemRun(b1, None, cfg(0.0, rho=steps[2]), None),
+            MlemRun(b1, tv(), cfg(10.0 * alpha["tv"]), truth)]
+    calls = {"apply": 0, "apply_adjoint": 0}
+    for name in calls:
+        original = getattr(SparseOperator, name)
+
+        def counted(self, v, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, v)
+
+        monkeypatch.setattr(SparseOperator, name, counted)
+    batch = mlem_batch(A, runs)
+    # one block product per half-step for the whole batch, and A'1, A1
+    assert calls == {"apply": 9, "apply_adjoint": 9}
+    monkeypatch.undo()
+
+    assert isinstance(batch[2], NumericalError)
+    with pytest.raises(NumericalError, match=f"^{batch[2]}$"):
+        mlem_split_reconstruct(A, nan, el(), cfg(alpha["el"]), truth)
+    lengths = []
+    for run, got in zip(runs, batch):
+        if run.b is nan:
+            continue
+        want = mlem_split_reconstruct(A, run.b, run.kind, run.cfg,
+                                      run.ground_truth)
+        assert got.image.values.tobytes() == want.image.values.tobytes()
+        assert history_csv(got) == history_csv(want)
+        assert got.terminated_early == want.terminated_early
+        lengths.append((len(got.history), got.terminated_early))
+    assert lengths == [(8, False)] * 3 + [(3, True), (8, False)]
+
+
+def test_batch_of_no_runs_is_empty():
+    assert mlem_batch(_operator(8, 6), []) == []
 
 
 @pytest.mark.parametrize("c", [2.0 ** -7, 2.0 ** 7])
