@@ -12,21 +12,23 @@ holds a sweep's rules and rejects any setting its runs would reject; a
 default grid is built on the unit grid, checked, then moved to
 ``sweep_center`` once the projector exists.
 
-A sweep's runs, one per (grid value, realization) pair, are independent
-and run on both of the projector's threads (``projector.map_ordered``),
-taking queue items in order. A CT item is one run. An ET item is a
-batch of up to ET_BATCH runs that share the projector and advance in
-lockstep, one block product per EM half-step for the whole batch
-(``run_lockstep``, ``solvers.mlem_batch``); a larger sweep is split into
-near-equal batches. Each run's result is bit-identical to its own
-``run_method`` result. A comparison puts all of its items in one such
-queue: the tv, el and baseline items from the start, and the tvl2 items,
-which need tv's best weight, at its head as soon as the last tv item
-finishes (on ET data one batch per thread). So no thread waits at the
-end of one sweep for the other's last item. Results are gathered in
-grid order, and every norm is summed in a fixed order (``solvers.dot``),
-so nothing here depends on this package's or BLAS's thread count, on
-the batch size or on the order in which items finish.
+Every solver run goes through ``run_methods``: ET runs advance in
+lockstep, one block product per EM half-step for all of them
+(``solvers.mlem_batch``), CT runs go one after another, and
+``run_method`` is the list of one. A sweep's runs, one per (grid value,
+realization) pair, run on both of the projector's threads
+(``projector.map_ordered``), taking queue items in order, each one
+``run_methods`` call: one run on CT data, on ET data a batch of up to
+ET_BATCH runs (a larger sweep is split into near-equal batches). Each
+run's result is bit-identical to its own ``run_method`` result. A
+comparison puts all of its items in one such queue: the tv, el and
+baseline items from the start, and the tvl2 items, which need tv's best
+weight, at its head as soon as the last tv item finishes (on ET data
+one batch per thread). So no thread waits at the end of one sweep for
+the other's last item. Results are gathered in grid order, and every
+norm is summed in a fixed order (``solvers.dot``), so nothing here
+depends on this package's or BLAS's thread count, on the batch size or
+on the order in which items finish.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .regularizers import (Penalty, build_gradient_matrix, el, tikhonov,
 from .simulate import Dataset
 from .solvers import (MlemRun, NumericalError, ReconResult, SolverConfig,
                       cgls, fixed_point_reconstruct, history_csv, mlem_batch,
-                      mlem_split_reconstruct, norm)
+                      norm)
 
 
 def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
@@ -93,7 +95,7 @@ def check_method(method: str, data_kind: str) -> None:
 
 
 class MethodRun(NamedTuple):
-    """The arguments of one ``run_method`` call after the dataset."""
+    """A ``run_methods`` run: ``run_method``'s arguments after the dataset."""
     method: str
     cfg: SolverConfig
     realization: int = 0
@@ -101,36 +103,44 @@ class MethodRun(NamedTuple):
     beta: float = 0.03
 
 
+def run_methods(A: SparseOperator, dataset: Dataset, runs: list[MethodRun]
+                ) -> list[ReconResult | NumericalError]:
+    """Each run's result, or the NumericalError it raised, against a
+    noise realization of the dataset with the dataset's fidelity: its
+    kind's baseline (BASELINES) or a penalty kind. Every run is checked
+    before any is solved. ET runs advance in lockstep (``mlem_batch``)."""
+    kinds = []
+    for run in runs:
+        check_method(run.method, dataset.kind)
+        kinds.append(make_penalty(run.method, mu=run.mu, beta=run.beta))
+    truth = dataset.ground_truth
+    if dataset.kind == "et":
+        return mlem_batch(A, [MlemRun(dataset.noisy[run.realization], kind,
+                                      run.cfg, truth)
+                              for run, kind in zip(runs, kinds)])
+    outcomes: list[ReconResult | NumericalError] = []
+    for run, kind in zip(runs, kinds):
+        b = dataset.noisy[run.realization]
+        try:
+            outcomes.append(
+                cgls(A, b, run.cfg.outer_iters, ground_truth=truth)
+                if kind is None else
+                fixed_point_reconstruct(A, b, kind, run.cfg,
+                                        ground_truth=truth))
+        except NumericalError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def run_method(A: SparseOperator, dataset: Dataset, method: str,
                cfg: SolverConfig, realization: int = 0,
                mu: float = 0.0, beta: float = 0.03) -> ReconResult:
-    """One solver run against one noise realization of a dataset: its
-    kind's baseline (BASELINES) or a penalty kind, with its fidelity."""
-    check_method(method, dataset.kind)
-    kind = make_penalty(method, mu=mu, beta=beta)
-    b, truth = dataset.noisy[realization], dataset.ground_truth
-    if dataset.kind == "et":
-        return mlem_split_reconstruct(A, b, kind, cfg, ground_truth=truth)
-    if kind is None:
-        return cgls(A, b, cfg.outer_iters, ground_truth=truth)
-    return fixed_point_reconstruct(A, b, kind, cfg, ground_truth=truth)
-
-
-def run_lockstep(A: SparseOperator, dataset: Dataset,
-                 runs: list[MethodRun]) -> list[ReconResult | NumericalError]:
-    """``run_method`` for a batch of runs on ET data, advanced in
-    lockstep (``solvers.mlem_batch``): each run's result, bit-identical
-    to its own ``run_method`` result, or the NumericalError it raised."""
-    if dataset.kind != "et":
-        raise ValueError("only ML-EM runs on et data advance in lockstep")
-    batch = []
-    for run in runs:
-        check_method(run.method, dataset.kind)
-        batch.append(MlemRun(dataset.noisy[run.realization],
-                             make_penalty(run.method, mu=run.mu,
-                                          beta=run.beta),
-                             run.cfg, dataset.ground_truth))
-    return mlem_batch(A, batch)
+    """One solver run (``run_methods``); raises its NumericalError."""
+    (outcome,) = run_methods(A, dataset, [MethodRun(method, cfg, realization,
+                                                    mu, beta)])
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
 
 # An ET queue item is a batch of at most this many runs, advanced in
@@ -153,23 +163,6 @@ def _batches(dataset: Dataset, jobs: list, least: int = 1) -> list[list]:
     count = min(len(jobs), max(least, -(-len(jobs) // ET_BATCH)))
     return [jobs[i * len(jobs) // count:(i + 1) * len(jobs) // count]
             for i in range(count)]
-
-
-def _solve(A: SparseOperator, dataset: Dataset,
-           runs: list[MethodRun]) -> list[ReconResult | NumericalError]:
-    """Each run's result or NumericalError: ET runs in one lockstep
-    batch, CT runs one after another."""
-    if dataset.kind == "et":
-        return run_lockstep(A, dataset, runs)
-    outcomes: list[ReconResult | NumericalError] = []
-    for run in runs:
-        try:
-            outcomes.append(run_method(
-                A, dataset, run.method, run.cfg, realization=run.realization,
-                mu=run.mu, beta=run.beta))
-        except NumericalError as exc:
-            outcomes.append(exc)
-    return outcomes
 
 
 def _flat(batches: list[list]) -> list:
@@ -321,7 +314,7 @@ def _sweep_runs(spec: SweepSpec, dataset: Dataset, A: SparseOperator,
     truth = dataset.ground_truth
     has_regions = dataset.gr is not None and dataset.br is not None
     outcomes = []
-    for (value, k, r), res in zip(jobs, _solve(A, dataset, runs)):
+    for (value, k, r), res in zip(jobs, run_methods(A, dataset, runs)):
         if isinstance(res, NumericalError):
             outcomes.append((SweepRun(value, r, None, error=str(res)), None,
                              ()))
@@ -478,8 +471,8 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
         spec, jobs = item
         if spec is not None:
             return _sweep_runs(spec, dataset, A, jobs)
-        results = _solve(A, dataset, [MethodRun(baseline, cfg, r)
-                                      for r in jobs])
+        results = run_methods(A, dataset, [MethodRun(baseline, cfg, r)
+                                           for r in jobs])
         for res in results:
             if isinstance(res, NumericalError):
                 raise res

@@ -154,11 +154,6 @@ _ANNULUS_INNER = 0.18
 _ANNULUS_OUTER = 0.42
 _LOBES = ((0.40, 35.0, 0.11), (0.38, 215.0, 0.13))  # (offset, deg, radius)
 _SPOT_DRAWS = 10 ** 6  # rejection draws before a grid counts as too small
-# every support point is at least a gap of min(inner radius, lobe offset
-# - lobe radius) from the centre, so |x - 0.5| or |y - 0.5| is at least
-# gap / sqrt(2), and no point lies deeper inside the unit square than:
-_SUPPORT_DEPTH = 0.5 - min([_ANNULUS_INNER] + [off - rad for off, _, rad
-                                               in _LOBES]) / np.sqrt(2.0)
 
 
 def _support_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,17 +175,29 @@ def et_phantom_components(grid: GridSpec, seed: int):
     """
     if grid.nx != grid.ny or grid.dx != grid.dy:
         raise ValueError("emission phantom requires a square grid")
-    xn = (np.arange(grid.nx) + 0.5) / grid.nx
-    x, y = np.meshgrid(xn, xn)
-    support = _support_indicator(x, y)
-
-    h = 1.0 / grid.nx
-    if 8.0 * h > _SUPPORT_DEPTH:  # the 4-sigma margin of sigma = 2 pixels
+    # By the smallest spot's 4-sigma margin, 8 pixels, every centre lies
+    # within a of the square's centre in x and y. While a < r, the hole's
+    # radius, and no lobe reaches a sqrt(2), both offsets are at least
+    # t = sqrt(r^2 - a^2): the centres lie in four corner boxes sqrt(2)
+    # (a - t) across (empty if a <= t), and a box narrower than the
+    # centres' 0.08 spacing holds at most one of the six.
+    a, r = 0.5 - 8.0 / grid.nx, _ANNULUS_INNER
+    t = np.sqrt(max(r * r - a * a, 0.0))
+    lobe = min(off - rad for off, _, rad in _LOBES)
+    if a < r and a * np.sqrt(2.0) < lobe and np.sqrt(2.0) * (a - t) < 0.08:
         raise ValueError(
             f"cannot place hot spots on a {grid.nx}x{grid.ny} grid: the "
-            f"smallest spot's 4-sigma margin, 8 pixels = {8.0 * h:.3f}, "
-            f"exceeds the deepest support point's {_SUPPORT_DEPTH:.3f}; "
-            f"use a larger grid")
+            f"smallest spot's 4-sigma margin, 8 pixels = {8.0 / grid.nx:.3f}, "
+            f"leaves the support room for at most 4 spots 0.08 apart; use a "
+            f"larger grid")
+    xn = (np.arange(grid.nx) + 0.5) / grid.nx
+    x, y = np.meshgrid(xn, xn)
+    return _support_indicator(x, y), _sample_spots(grid, seed)
+
+
+def _sample_spots(grid: GridSpec, seed: int) -> list[Gaussian]:
+    """The six seeded hot spots of a square grid, drawn by rejection."""
+    h = 1.0 / grid.nx
     rng = np.random.default_rng(seed)
     spots: list[Gaussian] = []
     for _ in range(_SPOT_DRAWS):
@@ -205,7 +212,7 @@ def et_phantom_components(grid: GridSpec, seed: int):
             continue
         spots.append(Gaussian(cx, cy, sigma, rng.uniform(0.4, 1.0)))
         if len(spots) == 6:
-            return support, spots
+            return spots
     raise ValueError(f"cannot place 6 hot spots on a {grid.nx}x{grid.ny} "
                      f"grid in {_SPOT_DRAWS} draws; use a larger grid")
 

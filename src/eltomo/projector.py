@@ -519,14 +519,14 @@ def _linear_view(spec: ProjectorSpec, angle: float, scratch: dict
     return pixels, weights, stored
 
 
-def _linear_angle_entries(spec: ProjectorSpec, angle: float, scratch: dict
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bin index, pixel index, weight) triplets for one view: every
-    lower pixel of a sample, then every upper one."""
-    pixels, weights, stored = _linear_view(spec, angle, scratch)
-    rays = np.tile(np.arange(spec.nbins, dtype=np.int64), 2)
-    return (np.repeat(rays, stored.sum(axis=2).ravel()), pixels[stored],
-            weights[stored])
+def _linear_rows(spec: ProjectorSpec, angle: float, scratch: dict
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One view's entries grouped by ray in ray order, each ray's lower
+    pixels, then its upper ones: (stored, pixel index, weight), where
+    stored is the (nbins, 2, steps) mask of ``_linear_view``."""
+    pixels, weights, stored = (a.transpose(1, 0, 2) for a in
+                               _linear_view(spec, angle, scratch))
+    return stored, pixels[stored], weights[stored]
 
 
 def _row_counts(spec: ProjectorSpec, angle: float, scratch: dict
@@ -548,11 +548,7 @@ def _fill_rows(spec: ProjectorSpec, angle: float, scratch: dict,
         data[:] = weights[order]
         indices[:] = pixels[order]
     else:
-        # rays first: each ray's lower pixels, then its upper ones
-        pixels, weights, stored = (a.transpose(1, 0, 2) for a in
-                                   _linear_view(spec, angle, scratch))
-        data[:] = weights[stored]
-        indices[:] = pixels[stored]
+        _, indices[:], data[:] = _linear_rows(spec, angle, scratch)
 
 
 class SparseOperator:
@@ -728,8 +724,10 @@ def project_streaming(spec: ProjectorSpec, u: Image) -> Sinogram:
                     np.add.at(row, bins, weights)
                 out[ia] = row[:-1]
             else:
-                bins, pixels, weights = _linear_angle_entries(spec, angle,
-                                                              scratch)
+                # each bin sums its lower samples, then its upper ones
+                stored, pixels, weights = _linear_rows(spec, angle, scratch)
+                bins = np.repeat(np.arange(spec.nbins),
+                                 stored.sum(axis=(1, 2)))
                 out[ia] = np.bincount(bins, weights * flat[pixels],
                                       minlength=spec.nbins)
 

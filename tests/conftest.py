@@ -1,10 +1,12 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from eltomo import CtSimSpec, GridSpec, make_ct_dataset
+from eltomo import CtSimSpec, GridSpec, make_ct_dataset, metrics
 from eltomo.projector import build_projector
+from eltomo.solvers import NumericalError
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +48,33 @@ def bounded():
         return box["value"]
 
     return call
+
+
+@pytest.fixture()
+def hook_runs(monkeypatch):
+    """``hook_runs(hook)`` calls ``hook(run)`` for each run that a sweep or
+    a comparison hands to ``metrics.run_methods``, CT and ET alike, as
+    its item starts and on the item's thread: a NumericalError it raises
+    is that run's outcome, and any other exception leaves the item. A
+    test's own ``run_method`` calls, its oracles, are not hooked."""
+    def install(hook):
+        original = metrics.run_methods
+        oracle = metrics.run_method.__code__
+
+        def hooked(A, dataset, runs):
+            if sys._getframe(1).f_code is oracle:
+                return original(A, dataset, runs)
+            failed = {}
+            for i, run in enumerate(runs):
+                try:
+                    hook(run)
+                except NumericalError as exc:
+                    failed[i] = exc
+            solved = iter(original(A, dataset, [
+                run for i, run in enumerate(runs) if i not in failed]))
+            return [failed[i] if i in failed else next(solved)
+                    for i in range(len(runs))]
+
+        monkeypatch.setattr(metrics, "run_methods", hooked)
+
+    return install

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eltomo import cli, metrics, projector, simulate, solvers
+from eltomo import cli, metrics, phantoms, projector, simulate, solvers
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import (alpha_scale_heuristic, mu_scale_heuristic, rmse,
@@ -162,16 +162,13 @@ def test_sweep_command(ct_dataset, tmp_path):
     assert all(row.endswith(",,") for row in lines[1:])  # no region masks
 
 
-def test_sweep_prints_failed_points(ct_dataset, tmp_path, monkeypatch,
+def test_sweep_prints_failed_points(ct_dataset, tmp_path, hook_runs,
                                    capsys):
-    original = metrics.run_method
-
-    def failing(A, dataset, method, cfg, **kwargs):
-        if cfg.alpha == 1e-6:
+    def failing(run):
+        if run.cfg.alpha == 1e-6:
             raise NumericalError("non-finite iterate in test")
-        return original(A, dataset, method, cfg, **kwargs)
 
-    monkeypatch.setattr(metrics, "run_method", failing)
+    hook_runs(failing)
     out = tmp_path / "sw"
     code = _run("sweep", "--dataset", ct_dataset, "--method", "tv",
                 "--param", "alpha", "--values", "1e-7,1e-6",
@@ -551,9 +548,10 @@ def test_negative_detector_size_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.fixture
-def heavy_calls(monkeypatch):
-    """The names of the projector builds, grid-centre heuristics and power
-    iterations a run calls; each such call also raises."""
+def heavy_calls(monkeypatch, ct_dataset, et_dataset):
+    """The names of the projector builds, grid-centre heuristics, power
+    iterations and hot-spot draws a run calls; each such call also
+    raises. The datasets are made before any call is refused."""
     calls = []
 
     def refuse(name):
@@ -568,6 +566,7 @@ def heavy_calls(monkeypatch):
     for name in ("alpha_scale_heuristic", "mu_scale_heuristic"):
         monkeypatch.setattr(metrics, name, refuse(name))
     monkeypatch.setattr(solvers, "power_iteration", refuse("power_iteration"))
+    monkeypatch.setattr(phantoms, "_sample_spots", refuse("_sample_spots"))
     return calls
 
 
@@ -621,6 +620,9 @@ def heavy_calls(monkeypatch):
     *[(command, "ct", ("--method", "tv", "--realizations", count))
       for command in ("sweep", "report") for count in (0, -1, 2)],
     ("simulate", "missing", ("--nbins", -3)),
+    # four corners of the support, each less than 0.08 across, are left
+    # to the hot spots' centres
+    ("simulate", "missing", ("--experiment", "et", "--et-n", 22)),
 ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_bad_parameters_end_before_the_heavy_work(command, data, flags,
                                                   request, tmp_path, capsys,

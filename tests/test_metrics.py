@@ -1,6 +1,8 @@
 import math
+import re
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eltomo import (EtSimSpec, GridSpec, Image, RegionMask, SolverConfig,
                     SweepSpec, emit_report, make_et_dataset, metrics,
                     projector, rmse, run_comparison, run_method, run_sweep)
-from eltomo.metrics import MethodReport
+from eltomo.metrics import MethodReport, MethodRun
 from eltomo.projector import build_projector
 from eltomo.solvers import (NumericalError, fixed_point_reconstruct,
                             history_csv, mlem_split_reconstruct)
@@ -23,27 +25,6 @@ def small_et():
                                    total_counts=2e5, n_realizations=2,
                                    seed=3))
     return ds, build_projector(ds.recon_projector)
-
-
-def _hook_runs(monkeypatch, hook):
-    """Call ``hook(run)`` for each ET run as its lockstep batch starts,
-    on the batch's thread: a NumericalError it raises is that run's
-    outcome, and any other exception leaves the batch."""
-    original = metrics.run_lockstep
-
-    def hooked(A, dataset, runs):
-        failed = {}
-        for i, run in enumerate(runs):
-            try:
-                hook(run)
-            except NumericalError as exc:
-                failed[i] = exc
-        solved = iter(original(A, dataset, [run for i, run in enumerate(runs)
-                                            if i not in failed]))
-        return [failed[i] if i in failed else next(solved)
-                for i in range(len(runs))]
-
-    monkeypatch.setattr(metrics, "run_lockstep", hooked)
 
 
 def test_rmse_identities(rng):
@@ -165,6 +146,33 @@ def test_et_data_run_poisson_ml_em(method, small_et):
     assert history_csv(got) == history_csv(want)
 
 
+def test_run_methods_returns_each_runs_own_run_method_result(small_ct,
+                                                             small_et):
+    ct, ct_A = small_ct
+    ct_cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-7)
+    et, et_A = small_et
+    et_cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-8)
+    # realization 2 is NaN data, which a Sinogram would refuse; it fails
+    et = replace(et, noisy=et.noisy + (np.full(et_A.nrows, np.nan),))
+    for ds, A, runs in (
+            (ct, ct_A, [MethodRun(m, ct_cfg) for m in ("cgls", "tv", "el")]),
+            (et, et_A, [MethodRun(m, et_cfg, r) for m in ("mlem", "tv", "el")
+                        for r in (0, 1)] + [MethodRun("el", et_cfg, 2)])):
+        outcomes = metrics.run_methods(A, ds, runs)
+        assert len(outcomes) == len(runs)
+        for run, got in zip(runs, outcomes):
+            if run.realization == 2:
+                assert isinstance(got, NumericalError)
+                with pytest.raises(NumericalError,
+                                   match=f"^{re.escape(str(got))}$"):
+                    run_method(A, ds, *run)
+                continue
+            want = run_method(A, ds, *run)
+            assert got.image.values.tobytes() == want.image.values.tobytes()
+            assert got.history == want.history
+            assert got.terminated_early == want.terminated_early
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         SweepSpec(method="tv", param="alpha", values=(1e-3,))
@@ -228,16 +236,11 @@ def test_comparison_rejects_empty_realizations(small_ct):
                        A=A)
 
 
-def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch):
+def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch,
+                                                 hook_runs):
     ds, A = small_ct
     calls = []
-    original = metrics.run_method
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "run_method", counting)
+    hook_runs(lambda run: calls.append(run.method))
     monkeypatch.setattr(projector, "THREADS", 1)
     run_comparison(ds, outer_iters=3, inner_iters=2, sweep_points=2, A=A)
     # each of the three sweeps' two points once and the baseline once, in
@@ -273,14 +276,14 @@ def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
 
 
 def test_comparison_raises_on_failed_realization_at_best_point(
-        small_et, monkeypatch):
+        small_et, hook_runs):
     ds, A = small_et
 
     def failing(run):
         if run.method == "el" and run.realization == 1:
             raise NumericalError("boom")
 
-    _hook_runs(monkeypatch, failing)
+    hook_runs(failing)
     with pytest.raises(NumericalError, match="^boom$"):
         run_comparison(ds, outer_iters=3, inner_iters=2, realizations=(0, 1),
                        sweep_points=2, A=A)
@@ -293,7 +296,7 @@ def _on_worker() -> bool:
 
 
 def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
-                                                bounded):
+                                                hook_runs, bounded):
     ds, A = small_et
     spec = SweepSpec(method="el", param="alpha",
                      values=(1e-9, 1e-8, 1e-7), realizations=(0, 1),
@@ -307,7 +310,7 @@ def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
             raise NumericalError(f"boom at {run.cfg.alpha:g}/"
                                  f"{run.realization}")
 
-    _hook_runs(monkeypatch, failing)
+    hook_runs(failing)
     monkeypatch.setattr(metrics, "ET_BATCH", 2)  # three batches of two
     results = []
     for threads in (1, 2):
@@ -327,18 +330,16 @@ def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
 
 
 def test_value_error_in_a_worker_run_leaves_the_sweep(small_ct, monkeypatch,
-                                                      bounded):
+                                                      hook_runs, bounded):
     ds, A = small_ct
     monkeypatch.setattr(projector, "THREADS", 2)
-    original = metrics.run_method
 
-    def worker_fails(*args, **kwargs):
+    def worker_fails(run):
         if _on_worker():
             raise ValueError("bad input on the worker")
         time.sleep(0.05)  # leaves the worker time to take a run
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "run_method", worker_fails)
+    hook_runs(worker_fails)
     spec = SweepSpec(method="tv", param="alpha", values=(1e-7, 1e-6, 1e-5),
                      outer_iters=2, inner_iters=2)
     with pytest.raises(ValueError, match="bad input on the worker"):
@@ -374,10 +375,11 @@ def _comparison(ds, A, bounded):
 
 
 def test_concurrent_comparison_matches_serial(small_et, two_threads,
-                                              monkeypatch, bounded):
+                                              monkeypatch, hook_runs,
+                                              bounded):
     ds, A = small_et
     where = set()
-    _hook_runs(monkeypatch, lambda run: where.add(_on_worker()))
+    hook_runs(lambda run: where.add(_on_worker()))
     concurrent = _comparison(ds, A, bounded)
     assert where == {False, True}
     monkeypatch.setattr(projector, "THREADS", 1)
@@ -433,7 +435,8 @@ def test_et_sweeps_queue_near_equal_batches(small_et, small_ct, monkeypatch):
 
 
 def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
-                                              monkeypatch, bounded):
+                                              monkeypatch, hook_runs,
+                                              bounded):
     # the first tv run waits until an el run has started, and the
     # second-to-last el run until a tvl2 run has: both can only happen
     # if tvl2 joins the queue ahead of el runs that are already in it
@@ -457,7 +460,7 @@ def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
         if method == "el" and count == 3:  # of 4: 2 points x 2 realizations
             waited.append(tvl2_started.wait(timeout=20))
 
-    _hook_runs(monkeypatch, ordered)
+    hook_runs(ordered)
     monkeypatch.setattr(metrics, "ET_BATCH", 1)  # one run per item
     _comparison(ds, A, bounded)
     assert waited == [True, True]
@@ -468,7 +471,7 @@ def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
 
 
 def test_value_error_in_a_worker_tv_run_ends_the_comparison(
-        small_et, two_threads, monkeypatch, bounded):
+        small_et, two_threads, monkeypatch, hook_runs, bounded):
     ds, A = small_et
     started: list[str] = []
     worker_failed = threading.Event()
@@ -481,7 +484,7 @@ def test_value_error_in_a_worker_tv_run_ends_the_comparison(
         if run.method == "tv":
             assert worker_failed.wait(timeout=20)
 
-    _hook_runs(monkeypatch, worker_fails)
+    hook_runs(worker_fails)
     monkeypatch.setattr(metrics, "ET_BATCH", 1)  # a tv item on each thread
     with pytest.raises(ValueError, match="bad input on the worker"):
         _comparison(ds, A, bounded)
@@ -494,7 +497,7 @@ def test_value_error_in_a_worker_tv_run_ends_the_comparison(
     (lambda realization: realization == 1, "^tv fails on realization 1$"),
 ])
 def test_failed_tv_sweep_raises_before_any_tvl2_run(
-        failing, message, small_et, two_threads, monkeypatch, bounded):
+        failing, message, small_et, two_threads, hook_runs, bounded):
     ds, A = small_et
     started: list[str] = []
 
@@ -504,7 +507,7 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
             raise NumericalError(f"tv fails on realization "
                                  f"{run.realization}")
 
-    _hook_runs(monkeypatch, tv_fails)
+    hook_runs(tv_fails)
     with pytest.raises(NumericalError, match=message):
         _comparison(ds, A, bounded)
     assert started.count("tv") == 4

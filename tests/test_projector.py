@@ -782,16 +782,22 @@ def test_strip_streaming_peak_is_a_few_images(rng):
 @pytest.mark.parametrize("angles", [EDGE_ANGLES, uniform_angles(30)],
                          ids=["edges", "uniform"])
 def test_streaming_entries_keep_their_order(angles):
-    # project_streaming sums each bin's entries in this order
+    # project_streaming sums each bin's entries in this order: ray-major,
+    # each ray's lower pixels, then its upper ones
     for grid in (GridSpec(16, 16), GridSpec(12, 7)):
         nbins, pitch = default_detector(grid)
         spec = ProjectorSpec(grid, angles, nbins, pitch, "linear")
         scratch = {}  # reused across views, as project_streaming does
         for angle in spec.angles:
-            got = projector._linear_angle_entries(spec, angle, scratch)
-            want = _linear_entries_oracle(spec, angle)
-            for x, y in zip(got, want):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            stored, pixels, weights = projector._linear_rows(spec, angle,
+                                                             scratch)
+            got = (np.repeat(np.arange(nbins), stored.sum(axis=(1, 2))),
+                   pixels, weights)
+            entries = _linear_entries_oracle(spec, angle)
+            order = np.argsort(entries[0], kind="stable")
+            for x, y in zip(got, entries):
+                assert x.dtype == y.dtype
+                assert x.tobytes() == y[order].tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["strip", "linear"])

@@ -718,25 +718,20 @@ def test_cg_zero_rhs_gives_zero_step():
 
 
 def test_preconditioned_sweep_estimates_sigma_once(small_ct, monkeypatch,
-                                                  bounded):
+                                                  hook_runs, bounded):
     ds, _ = small_ct
     A = build_projector(ds.recon_projector)  # an operator not seen before
     monkeypatch.setattr(projector, "THREADS", 2)  # points run concurrently
     calls, threads = [], set()
     original = solvers.power_iteration
-    run_method = metrics.run_method
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         time.sleep(0.1)  # both threads' first points reach sigma meanwhile
         return original(*args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        threads.add(threading.current_thread().name)
-        return run_method(*args, **kwargs)
-
     monkeypatch.setattr(solvers, "power_iteration", counted)
-    monkeypatch.setattr(metrics, "run_method", recorded)
+    hook_runs(lambda run: threads.add(threading.current_thread().name))
     spec = SweepSpec(method="el", param="alpha", values=(1e-8, 1e-7, 1e-6),
                      outer_iters=3, inner_iters=3)
     bounded(lambda: run_sweep(spec, ds, A=A))
