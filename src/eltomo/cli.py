@@ -185,17 +185,19 @@ def _descriptor_from(cfg: dict):
 
 
 def cmd_phantom(cfg: dict) -> int:
+    """Draw the phantom first, so an error leaves no output directory."""
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     n = cfg["nx"]
     grid = GridSpec(n, n)
     if cfg["experiment"] == "ct":
         desc = _descriptor_from(cfg)
         img = generate_ct_phantom(desc, grid)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "descriptor.txt").write_text(save_descriptor(desc),
                                             encoding="utf-8")
     elif cfg["experiment"] == "et":
         img, gr, br = generate_et_phantom(grid, cfg["seed"])
+        out.mkdir(parents=True, exist_ok=True)
         fileio.save_mask(out / "mask_GR", gr)
         fileio.save_mask(out / "mask_BR", br)
     else:
@@ -262,18 +264,17 @@ def cmd_reconstruct(cfg: dict) -> int:
         raise ConfigError(f"method {method!r} needs alpha > 0")
     if method == "tvl2" and not cfg["mu"] > 0:
         raise ConfigError("method 'tvl2' needs mu > 0")
-    make_penalty(method, mu=cfg["mu"], beta=cfg["beta"])  # before loading
+    kind = make_penalty(method, alpha=cfg["alpha"], mu=cfg["mu"],
+                        beta=cfg["beta"])  # checked before loading
     ds, outer = _dataset(cfg)
     check_method(method, ds.kind)
     if cfg["realization"] < 0 or cfg["realization"] >= len(ds.noisy):
         raise ConfigError(f"realization {cfg['realization']} out of range")
     solver_cfg = SolverConfig(
-        outer_iters=outer, inner_iters=cfg["inner_iters"], rho=cfg["rho"],
-        alpha=cfg["alpha"])
+        outer_iters=outer, inner_iters=cfg["inner_iters"], rho=cfg["rho"])
     A = build_projector(ds.recon_projector)
-    result = run_method(A, ds, method, solver_cfg,
-                        realization=cfg["realization"], mu=cfg["mu"],
-                        beta=cfg["beta"])
+    result = run_method(A, ds, kind, solver_cfg,
+                        realization=cfg["realization"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     fileio.save_image(out / f"recon_{method}", result.image)
@@ -374,10 +375,9 @@ def gradient_suite(n: int = 32, probes: int = 20, seed: int = 0,
     from scipy.ndimage import gaussian_filter
     u0 = Image(grid, gaussian_filter(base, 2.0) + 0.1)
     worst = 0.0
-    alpha = 1.0
-    for kind in (tikhonov(), tv(), tv_l2(mu=0.5), el()):
-        R = build_gradient_matrix(kind, u0, alpha=alpha)
-        q = frozen_quadratic(kind, u0, alpha=alpha)
+    for kind in (tikhonov(1.0), tv(1.0), tv_l2(1.0, mu=0.5), el(1.0)):
+        R = build_gradient_matrix(kind, u0)
+        q = frozen_quadratic(kind, u0)
         v = rng.standard_normal(grid.npixels)
         g = R.matrix @ v
         scale = float(np.max(np.abs(g)))

@@ -7,10 +7,14 @@ argmin, with ties broken toward the smaller value. A comparison reports
 a swept method at its best sweep point; it does not solve it again.
 
 A run's fidelity follows its dataset: least squares for CT data,
-Poisson ML-EM for ET data (BASELINES, ``check_method``). ``SweepSpec``
-holds a sweep's rules and rejects any setting its runs would reject; a
-default grid is built on the unit grid, checked, then moved to
-``sweep_center`` once the projector exists.
+Poisson ML-EM for ET data. A run names its penalty, a
+``regularizers.Penalty`` that holds all of the penalty's constants and
+is checked when it is built, or None for the dataset's unregularized
+baseline (BASELINES). ``make_penalty`` turns a method name into either;
+``check_method`` rejects the other data kind's baseline by name.
+``SweepSpec`` holds a sweep's rules and rejects any setting its runs
+would reject; a default grid is built on the unit grid, checked, then
+moved to ``sweep_center`` once the projector exists.
 
 Every solver run goes through ``run_methods``: ET runs advance in
 lockstep, one block product per EM half-step for all of them
@@ -33,6 +37,7 @@ on the order in which items finish.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,18 +77,19 @@ def rmse(recon: Image, truth: Image, mask: RegionMask | None = None) -> float:
 BASELINES = {"ct": "cgls", "et": "mlem"}
 
 
-def make_penalty(method: str, mu: float = 0.0,
+def make_penalty(method: str, alpha: float = 0.0, mu: float = 0.0,
                  beta: float = 0.03) -> Penalty | None:
+    """The penalty a method name stands for; None for a baseline."""
     if method in BASELINES.values():
         return None
     if method == "tikhonov":
-        return tikhonov()
+        return tikhonov(alpha)
     if method == "tv":
-        return tv()
+        return tv(alpha)
     if method == "tvl2":
-        return tv_l2(mu)
+        return tv_l2(alpha, mu)
     if method == "el":
-        return el(beta=beta)
+        return el(alpha, beta=beta)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -96,48 +102,40 @@ def check_method(method: str, data_kind: str) -> None:
 
 class MethodRun(NamedTuple):
     """A ``run_methods`` run: ``run_method``'s arguments after the dataset."""
-    method: str
+    kind: Penalty | None
     cfg: SolverConfig
     realization: int = 0
-    mu: float = 0.0
-    beta: float = 0.03
 
 
 def run_methods(A: SparseOperator, dataset: Dataset, runs: list[MethodRun]
                 ) -> list[ReconResult | NumericalError]:
     """Each run's result, or the NumericalError it raised, against a
     noise realization of the dataset with the dataset's fidelity: its
-    kind's baseline (BASELINES) or a penalty kind. Every run is checked
-    before any is solved. ET runs advance in lockstep (``mlem_batch``)."""
-    kinds = []
-    for run in runs:
-        check_method(run.method, dataset.kind)
-        kinds.append(make_penalty(run.method, mu=run.mu, beta=run.beta))
+    penalty, or the dataset's baseline (BASELINES) for None. ET runs
+    advance in lockstep (``mlem_batch``)."""
     truth = dataset.ground_truth
     if dataset.kind == "et":
-        return mlem_batch(A, [MlemRun(dataset.noisy[run.realization], kind,
-                                      run.cfg, truth)
-                              for run, kind in zip(runs, kinds)])
+        return mlem_batch(A, [MlemRun(dataset.noisy[run.realization],
+                                      run.kind, run.cfg, truth)
+                              for run in runs])
     outcomes: list[ReconResult | NumericalError] = []
-    for run, kind in zip(runs, kinds):
+    for run in runs:
         b = dataset.noisy[run.realization]
         try:
             outcomes.append(
                 cgls(A, b, run.cfg.outer_iters, ground_truth=truth)
-                if kind is None else
-                fixed_point_reconstruct(A, b, kind, run.cfg,
+                if run.kind is None else
+                fixed_point_reconstruct(A, b, run.kind, run.cfg,
                                         ground_truth=truth))
         except NumericalError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def run_method(A: SparseOperator, dataset: Dataset, method: str,
-               cfg: SolverConfig, realization: int = 0,
-               mu: float = 0.0, beta: float = 0.03) -> ReconResult:
+def run_method(A: SparseOperator, dataset: Dataset, kind: Penalty | None,
+               cfg: SolverConfig, realization: int = 0) -> ReconResult:
     """One solver run (``run_methods``); raises its NumericalError."""
-    (outcome,) = run_methods(A, dataset, [MethodRun(method, cfg, realization,
-                                                    mu, beta)])
+    (outcome,) = run_methods(A, dataset, [MethodRun(kind, cfg, realization)])
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
@@ -170,13 +168,13 @@ def _flat(batches: list[list]) -> list:
 
 
 def _probe_scale(A: SparseOperator, dataset: Dataset, kind: Penalty,
-                 alpha: float, what: str) -> float:
+                 what: str) -> float:
     """|A'b| / |R(A'b) A'b| in the max norm: the ratio of the data-term
     and penalty-term gradient scales probed at the backprojected data."""
     atb = A.apply_adjoint(dataset.noisy[0].ravel())
     probe = Image(dataset.ground_truth.grid, atb)
     denom = float(np.max(np.abs(
-        build_gradient_matrix(kind, probe, alpha).matrix @ atb)))
+        build_gradient_matrix(kind, probe).matrix @ atb)))
     if denom == 0.0:
         raise NumericalError(f"{what} gradient vanished at the probe image")
     return float(np.max(np.abs(atb))) / denom
@@ -187,17 +185,18 @@ def alpha_scale_heuristic(A: SparseOperator, dataset: Dataset,
                           beta: float = 0.03) -> float:
     """The probe scale of the method's penalty matrix at alpha = 1,
     where an alpha sweep's default grid is centred."""
-    kind = make_penalty(method, mu=mu if mu > 0 else 1.0, beta=beta)
+    kind = make_penalty(method, alpha=1.0, mu=mu if mu > 0 else 1.0,
+                        beta=beta)
     if kind is None:
         raise ValueError("unregularized methods have no alpha scale")
-    return _probe_scale(A, dataset, kind, 1.0, "penalty")
+    return _probe_scale(A, dataset, kind, "penalty")
 
 
 def mu_scale_heuristic(A: SparseOperator, dataset: Dataset) -> float:
     """Scale of the second combined-penalty constant, probed the same
     way as alpha but against the curvature part of the matrix: the
     combined penalty's matrix with alpha = 0 and mu = 1."""
-    return _probe_scale(A, dataset, tv_l2(mu=1.0), 0.0, "curvature")
+    return _probe_scale(A, dataset, tv_l2(0.0, mu=1.0), "curvature")
 
 
 def sweep_center(A: SparseOperator, dataset: Dataset, method: str,
@@ -258,17 +257,21 @@ class SweepSpec:
             raise ValueError("realizations must be >= 1")
         if any(not v > 0 for v in self.values):
             raise ValueError("sweep values must be positive")
+        self.cfg  # built once, here, where it is checked
         for value in self.values:
-            self.run_settings(value)
+            self.penalty(value)
 
-    def run_settings(self, value: float) -> tuple[SolverConfig, float, float]:
-        """(solver config, mu, beta) of the runs at one grid value."""
+    @functools.cached_property
+    def cfg(self) -> SolverConfig:
+        """The solver config of every run of the sweep."""
+        return SolverConfig(outer_iters=self.outer_iters,
+                            inner_iters=self.inner_iters, rho=self.rho)
+
+    def penalty(self, value: float) -> Penalty:
+        """The penalty of the runs at one grid value."""
         at = {"alpha": self.alpha, "mu": self.mu, "beta": self.beta}
         at[self.param] = value
-        make_penalty(self.method, mu=at["mu"], beta=at["beta"])
-        return (SolverConfig(outer_iters=self.outer_iters,
-                             inner_iters=self.inner_iters, rho=self.rho,
-                             alpha=at["alpha"]), at["mu"], at["beta"])
+        return make_penalty(self.method, **at)
 
     def at_center(self, center: float) -> SweepSpec:
         """This spec with its values multiplied by center."""
@@ -307,10 +310,8 @@ def _sweep_runs(spec: SweepSpec, dataset: Dataset, A: SparseOperator,
                 jobs: list) -> list:
     """(SweepRun, the result if it is a first realization's, region
     errors) of each (grid value, realization) run of a queue item."""
-    runs = []
-    for value, _, r in jobs:
-        cfg, mu, beta = spec.run_settings(value)
-        runs.append(MethodRun(spec.method, cfg, r, mu, beta))
+    runs = [MethodRun(spec.penalty(value), spec.cfg, r)
+            for value, _, r in jobs]
     truth = dataset.ground_truth
     has_regions = dataset.gr is not None and dataset.br is not None
     outcomes = []
@@ -471,7 +472,7 @@ def run_comparison(dataset: Dataset, outer_iters: int, inner_iters: int,
         spec, jobs = item
         if spec is not None:
             return _sweep_runs(spec, dataset, A, jobs)
-        results = run_methods(A, dataset, [MethodRun(baseline, cfg, r)
+        results = run_methods(A, dataset, [MethodRun(None, cfg, r)
                                            for r in jobs])
         for res in results:
             if isinstance(res, NumericalError):

@@ -1,11 +1,12 @@
 """Penalty functionals and their symmetric gradient matrices.
 
-Every matrix here is alpha R(u): the penalty's weight alpha (and tvl2's
-mu) sits in its diagonals, so the solvers apply it with no outer
-multiplier. The penalty value is the weighted functional whose
-gradient, with the diagonals frozen at u, is alpha R(u) u; _freeze
-computes both from the same intermediates. Four penalties are
-supported:
+A Penalty is the one value that holds a penalty's constants: its kind,
+its weight alpha, tvl2's mu and el's beta. Every matrix here is
+alpha R(u): alpha (and tvl2's mu) sits in its diagonals, so the solvers
+apply it with no outer multiplier. The penalty value is the weighted
+functional whose gradient, with the diagonals frozen at u, is
+alpha R(u) u; _freeze computes both from the same intermediates. Four
+penalties are supported:
 
   tikhonov  (alpha/2) |u|_2^2                    -> alpha I
   tv        alpha sum sqrt(|grad u|^2 + eps^2)   -> Dx' Psi Dx + Dy' Psi Dy
@@ -64,35 +65,38 @@ KINDS = ("tikhonov", "tv", "tvl2", "el")
 
 @dataclass(frozen=True)
 class Penalty:
-    """Penalty selector with its per-kind constants."""
+    """A penalty: its kind, its weight alpha and its per-kind constants."""
 
     kind: str
+    alpha: float = 0.0
     mu: float = 0.0
     beta: float = 0.03
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and nonnegative")
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and nonnegative")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
 
 
-def tikhonov() -> Penalty:
-    return Penalty("tikhonov")
+def tikhonov(alpha: float) -> Penalty:
+    return Penalty("tikhonov", alpha)
 
 
-def tv() -> Penalty:
-    return Penalty("tv")
+def tv(alpha: float) -> Penalty:
+    return Penalty("tv", alpha)
 
 
-def tv_l2(mu: float) -> Penalty:
-    return Penalty("tvl2", mu=mu)
+def tv_l2(alpha: float, mu: float) -> Penalty:
+    return Penalty("tvl2", alpha, mu=mu)
 
 
-def el(beta: float = 0.03) -> Penalty:
-    return Penalty("el", beta=beta)
+def el(alpha: float, beta: float = 0.03) -> Penalty:
+    return Penalty("el", alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -250,12 +254,12 @@ def _quadratic(grid: GridSpec, alpha: float, names: tuple[str, ...],
                      for name, w in zip(names, weights))
 
 
-def _freeze(kind: Penalty, u: Image, alpha: float):
+def _freeze(kind: Penalty, u: Image):
     """The stencil names and frozen diagonals of alpha R(u) (both empty
     for tikhonov) and a thunk for the penalty value at u, from the same
     intermediates; tikhonov and el, quadratic once frozen, take it from
     _quadratic."""
-    g, v = u.grid, u.values
+    g, v, alpha = u.grid, u.values, kind.alpha
     if kind.kind == "tikhonov":
         return (), (), functools.partial(_quadratic, g, alpha, (), (), v)
     if kind.kind == "el":
@@ -276,26 +280,26 @@ def _freeze(kind: Penalty, u: Image, alpha: float):
             (second_x(v, g.hx) ** 2 + second_y(v, g.hy) ** 2) / cube)))
 
 
-def build_gradient_matrix(kind: Penalty, u: Image,
-                          alpha: float) -> RegularizerMatrix:
+def build_gradient_matrix(kind: Penalty, u: Image) -> RegularizerMatrix:
     """The symmetric gradient matrix alpha R(u), frozen at the iterate u,
     with the penalty value at u (computed on first read)."""
-    names, weights, value = _freeze(kind, u, alpha)
+    names, weights, value = _freeze(kind, u)
     matrix = (_assemble(u.grid, names, weights) if names
-              else alpha * sp.identity(u.grid.npixels, format="dia"))
+              else kind.alpha * sp.identity(u.grid.npixels, format="dia"))
     return RegularizerMatrix(matrix, names, weights, value)
 
 
-def penalty_value(kind: Penalty, u: Image, alpha: float) -> float:
+def penalty_value(kind: Penalty, u: Image) -> float:
     """The weighted penalty at u, whose gradient with the diagonals
     frozen at u is alpha R(u) u: the value build_gradient_matrix(kind,
-    u, alpha) carries, without assembling the matrix."""
-    return _freeze(kind, u, alpha)[2]()
+    u) carries, without assembling the matrix."""
+    return _freeze(kind, u)[2]()
 
 
-def frozen_quadratic(kind: Penalty, u0: Image, alpha: float):
+def frozen_quadratic(kind: Penalty, u0: Image):
     """Return q(v) = 0.5 <alpha R(u0) v, v> = 0.5 sum_t w_t (D_t v)^2,
     evaluated from the frozen diagonals with the numpy stencils, without
     the sparse matrix: an independent oracle for its products."""
-    names, weights, _ = _freeze(kind, u0, alpha)
-    return functools.partial(_quadratic, u0.grid, alpha, names, weights)
+    names, weights, _ = _freeze(kind, u0)
+    return functools.partial(_quadratic, u0.grid, kind.alpha, names,
+                             weights)

@@ -4,8 +4,9 @@
 * fixed_point_reconstruct: outer fixed-point iterations that freeze the
   penalty diagonals, take inner_iters preconditioned CG steps on the
   quadratic step equation (A'A + R) s = -g, and re-freeze. Every solve
-  is preconditioned, alpha = 0 included: there R = 0 and M^-1 is the
-  scalar 1 / sigma^2. Inner CG stops early only on breakdown. Its
+  is preconditioned, alpha = 0 included: there R is tvl2's curvature
+  term if mu > 0, and otherwise R = 0 and M^-1 is the scalar
+  1 / sigma^2. Inner CG stops early only on breakdown. Its
   products A p and A'A p also give A s and A'A s, so the residual
   Au - b and the gradient A'(Au - b) are carried from one iterate to
   the next: an outer iteration makes inner_iters A/A' pairs, and a run
@@ -13,10 +14,11 @@
   history its penalty and the next step its matrix: iters + 1 builds.
 * mlem_split_reconstruct: multiplicative ML-EM update for Poisson data
   (em_update, whose fixed point ``eltomo verify`` checks) followed by a
-  few explicit denoising steps against the frozen penalty matrix. Each
-  iterate is forward-projected once: the projection that gives its
-  fidelity also feeds the next EM update. Its step s is the
-  change of the iterate.
+  few explicit denoising steps against the frozen penalty matrix,
+  whenever the run has a penalty, alpha = 0 included (then only tvl2
+  with mu > 0 moves the iterate). Each iterate is forward-projected
+  once: the projection that gives its fidelity also feeds the next EM
+  update. Its step s is the change of the iterate.
 * mlem_batch: the same ML-EM loop for a batch of runs that share the
   projector (a sweep's runs), each with its own data, penalty and
   config. The runs advance in lockstep: one block product (an (n, k)
@@ -32,12 +34,14 @@ Every run records its history and stops by one rule, _Record: after
 the first iterate with |s|^2 <= rho (cgls passes -inf) or after its
 iteration limit. terminated_early is True after that stop, even on the
 last allowed iteration, or after a cgls breakdown (a zero search
-direction); otherwise False. cgls and fixed_point_reconstruct are
-generators of (u, fidelity, penalty, |s|^2), one item per outer
-iteration, that _run records; mlem_batch keeps one _Record per run.
+direction); otherwise False. Each solver adds one (u, fidelity,
+penalty, |s|^2) per outer iteration to its run's _Record (mlem_batch
+keeps one per run) and stops once the add returns True; a cgls
+breakdown stops before it records.
 
-R is the penalty matrix alpha R(u) of the regularizers module, with the
-weight alpha in its diagonals, and the history's penalty is the
+A SolverConfig holds a run's budget and stop rule only. The penalty,
+weight alpha included, is a regularizers.Penalty, and R is its matrix
+alpha R(u), with alpha in its diagonals. The history's penalty is the
 weighted penalty value at the recorded iterate, so each record's
 objective is fidelity + penalty.
 
@@ -96,15 +100,12 @@ class SolverConfig:
     outer_iters: int = 80
     inner_iters: int = 5
     rho: float = 1e-4
-    alpha: float = 0.0
 
     def __post_init__(self):
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -254,18 +255,6 @@ class _Record:
                            self.stopped or len(self.history) < self.iters)
 
 
-def _run(grid: GridSpec, u0: np.ndarray, steps, iters: int, rho: float,
-         ground_truth: Image | None) -> ReconResult:
-    """Record the (u, fidelity, penalty, step_norm2) items of ``steps``
-    until the run is over (_Record); no item is asked for after that.
-    A run whose ``steps`` runs out first (a cgls breakdown) ends early."""
-    record = _Record(grid, u0, iters, rho, ground_truth)
-    for item in steps:
-        if record.add(*item):
-            break
-    return record.result()
-
-
 # --- CGLS ----------------------------------------------------------------
 
 def cgls(A: SparseOperator, b: Sinogram, iters: int,
@@ -277,28 +266,27 @@ def cgls(A: SparseOperator, b: Sinogram, iters: int,
     if bv.size != A.nrows:
         raise ValueError("sinogram does not match operator shape")
     x = np.zeros(A.ncols)
-
-    def steps(x):
-        r = bv.copy()
+    record = _Record(A.spec.grid, x, iters, -math.inf, ground_truth)
+    r = bv.copy()
+    s = A.apply_adjoint(r)
+    p = s.copy()
+    gamma = dot(s, s)
+    while True:
+        q = A.apply(p)
+        delta = dot(q, q)
+        if delta <= 0.0:
+            break  # breakdown: the run ends early
+        a = gamma / delta
+        x += a * p
+        r -= a * q
+        _check_finite(x, "cgls")
         s = A.apply_adjoint(r)
-        p = s.copy()
-        gamma = dot(s, s)
-        while True:
-            q = A.apply(p)
-            delta = dot(q, q)
-            if delta <= 0.0:
-                return
-            a = gamma / delta
-            x += a * p
-            r -= a * q
-            _check_finite(x, "cgls")
-            s = A.apply_adjoint(r)
-            gamma_new = dot(s, s)
-            yield x, 0.5 * dot(r, r), 0.0, a * a * dot(p, p)
-            p = s + (gamma_new / gamma) * p
-            gamma = gamma_new
-
-    return _run(A.spec.grid, x, steps(x), iters, -math.inf, ground_truth)
+        gamma_new = dot(s, s)
+        if record.add(x, 0.5 * dot(r, r), 0.0, a * a * dot(p, p)):
+            break
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
+    return record.result()
 
 
 # --- inner CG ------------------------------------------------------------
@@ -394,33 +382,32 @@ def fixed_point_reconstruct(A: SparseOperator, b: Sinogram, kind: Penalty,
                             ground_truth: Image | None = None) -> ReconResult:
     """Outer iterations freeze the penalty diagonals at the current
     iterate, then preconditioned CG approximately solves (A'A + R) s =
-    -g. At alpha = 0, R = 0 and the preconditioner is the scalar
-    1 / sigma^2: Gauss-Newton on the data term."""
+    -g. At alpha = 0, R is tvl2's curvature term if mu > 0; otherwise
+    R = 0, the preconditioner is the scalar 1 / sigma^2 and the run is
+    Gauss-Newton on the data term."""
     bv = b.ravel()
     if bv.size != A.nrows:
         raise ValueError("sinogram does not match operator shape")
     grid = A.spec.grid
-    alpha = cfg.alpha
     sigma = _operator_sigma(A)
     u = np.zeros(A.ncols)
-
-    def steps(u, res, grad_fid):
-        # carried: res = Au - b (-b at u = 0), grad_fid = A'res and R(u)
-        R = build_gradient_matrix(kind, Image(grid, u), alpha)
-        while True:
-            apply_m = _factorized_preconditioner(R, sigma, grid)
-            s, _, a_s, ata_s = _cg(A, R.matrix, -(grad_fid + R.matrix @ u),
-                                   cfg.inner_iters, apply_m)
-            u = u + s
-            _check_finite(u, "fixed_point_reconstruct")
-            res += a_s
-            grad_fid += ata_s
-            del R  # the step is taken: free it before assembling the next
-            R = build_gradient_matrix(kind, Image(grid, u), alpha)
-            yield u, 0.5 * dot(res, res), R.value, dot(s, s)
-
-    return _run(grid, u, steps(u, -bv, A.apply_adjoint(-bv)),
-                cfg.outer_iters, cfg.rho, ground_truth)
+    record = _Record(grid, u, cfg.outer_iters, cfg.rho, ground_truth)
+    # carried: res = Au - b (-b at u = 0), grad_fid = A'res and R(u)
+    res = -bv
+    grad_fid = A.apply_adjoint(res)
+    R = build_gradient_matrix(kind, Image(grid, u))
+    while True:
+        apply_m = _factorized_preconditioner(R, sigma, grid)
+        s, _, a_s, ata_s = _cg(A, R.matrix, -(grad_fid + R.matrix @ u),
+                               cfg.inner_iters, apply_m)
+        u = u + s
+        _check_finite(u, "fixed_point_reconstruct")
+        res += a_s
+        grad_fid += ata_s
+        del R  # the step is taken: free it before assembling the next
+        R = build_gradient_matrix(kind, Image(grid, u))
+        if record.add(u, 0.5 * dot(res, res), R.value, dot(s, s)):
+            return record.result()
 
 
 # --- MLEM splitting (Poisson fidelity) ------------------------------------
@@ -474,17 +461,13 @@ def _rows(block: np.ndarray) -> np.ndarray:
     return block.T.copy()
 
 
-def _regularized(run: MlemRun) -> bool:
-    return run.kind is not None and run.cfg.alpha > 0
-
-
 def _denoise(run: MlemRun, grid: GridSpec, u_half: np.ndarray) -> np.ndarray:
     """The explicit denoising steps of one run's iteration, against the
     penalty matrix frozen at the post-EM iterate u_half."""
     _check_finite(u_half, "mlem step")
-    if not _regularized(run):
+    if run.kind is None:
         return u_half
-    R = build_gradient_matrix(run.kind, Image(grid, u_half), run.cfg.alpha)
+    R = build_gradient_matrix(run.kind, Image(grid, u_half))
     tau = 1.0 / (1.0 + penalty_eigenvalue(R.matrix))
     f = u_half.copy()
     for _ in range(run.cfg.inner_iters):
@@ -546,8 +529,8 @@ def mlem_batch(A: SparseOperator,
             run = runs[i]
             q = np.maximum(y, floor)
             fid = float(np.sum(q - data[i] * np.log(q)))
-            pen = (penalty_value(run.kind, Image(grid, u_new), run.cfg.alpha)
-                   if _regularized(run) else 0.0)
+            pen = (0.0 if run.kind is None
+                   else penalty_value(run.kind, Image(grid, u_new)))
             step2 = float(np.sum((u_new - us[i]) ** 2))
             us[i], qs[i] = u_new, q
             if records[i].add(u_new, fid, pen, step2):

@@ -14,7 +14,7 @@ from eltomo import (CtSimSpec, EtSimSpec, GridSpec, SolverConfig, cgls,
                     make_ct_dataset, make_et_dataset, poisson_sample, rmse,
                     verify_error_bound)
 from eltomo.cli import adjoint_suite, gradient_suite, run
-from eltomo.metrics import run_comparison, run_method
+from eltomo.metrics import make_penalty, run_comparison, run_method
 from eltomo.projector import (ProjectorSpec, build_projector, default_detector,
                               forward, map_ordered)
 from eltomo.regularizers import build_gradient_matrix, el, tikhonov, tv, tv_l2
@@ -57,9 +57,9 @@ def ct_protocol():
             return cgls(A, ds.noisy[0], 40, ground_truth=ds.ground_truth)
         alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
         mu = best["tvl2"] if method == "tvl2" else 0.0
-        cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4,
-                           alpha=alpha)
-        return run_method(A, ds, method, cfg, mu=mu)
+        cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-4)
+        return run_method(A, ds, make_penalty(method, alpha=alpha, mu=mu),
+                          cfg)
 
     items = [(k, m) for k in range(len(CT_SEEDS)) for m in CT_METHODS]
     runs = dict(zip(items, map_ordered(evaluate, items)))
@@ -116,13 +116,11 @@ def test_criterion_3_dense_oracle_first_step():
     dense = A.matrix.toarray()
     u0 = Image(grid, np.zeros(grid.npixels))
     worst = 0.0
-    for kind, alpha in ((tikhonov(), 1e-3), (tv(), 1e-4),
-                        (tv_l2(mu=1e-4), 1e-4), (el(), 1e-8)):
-        R = build_gradient_matrix(kind, u0, alpha=alpha)
+    for kind in (tikhonov(1e-3), tv(1e-4), tv_l2(1e-4, mu=1e-4), el(1e-8)):
+        R = build_gradient_matrix(kind, u0)
         h = dense.T @ dense + R.matrix.toarray()
         s_dense = np.linalg.solve(h, dense.T @ b.ravel())
-        cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28,
-                           alpha=alpha)
+        cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28)
         res = fixed_point_reconstruct(A, b, kind, cfg)
         rel = (np.linalg.norm(res.image.ravel() - s_dense)
                / np.linalg.norm(s_dense))
@@ -173,8 +171,8 @@ def test_criterion_5_mlem_properties(rng):
     from eltomo.grids import Sinogram
     from eltomo.solvers import mlem_split_reconstruct
     noisy = Sinogram(A.spec.angles, A.spec.nbins, counts)
-    cfg = SolverConfig(outer_iters=50, inner_iters=5, rho=1e-30, alpha=1e-9)
-    res = mlem_split_reconstruct(A, noisy, el(), cfg, ground_truth=truth)
+    cfg = SolverConfig(outer_iters=50, inner_iters=5, rho=1e-30)
+    res = mlem_split_reconstruct(A, noisy, el(1e-9), cfg, ground_truth=truth)
     nonneg = res.image.values.min() >= 0.0 and len(res.history) == 50
 
     ok = move <= 1e-10 and conserve <= 1e-8 and nonneg
@@ -228,9 +226,8 @@ def test_criterion_8_convergence_shape(ct_protocol):
     for method in ("tv", "tvl2", "el"):
         alpha = best["tv"] if method in ("tv", "tvl2") else best["el"]
         mu = best["tvl2"] if method == "tvl2" else 0.0
-        cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
-                           alpha=alpha)
-        res = run_method(A, ds, method, cfg, mu=mu)
+        cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30)
+        res = run_method(A, ds, make_penalty(method, alpha=alpha, mu=mu), cfg)
         curve = [h.rmse for h in res.history]
         tail = curve[-10:]
         spread = (max(tail) - min(tail)) / curve[-1]

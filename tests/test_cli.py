@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eltomo import cli, metrics, phantoms, projector, simulate, solvers
+from eltomo import cli, el, metrics, phantoms, projector, simulate, solvers
 from eltomo.cli import resolve_config, run
 from eltomo.fileio import load_image
 from eltomo.metrics import (alpha_scale_heuristic, mu_scale_heuristic, rmse,
@@ -73,8 +73,8 @@ def test_et_reconstruct_runs_poisson_ml_em(et_dataset, tmp_path):
     assert _run("reconstruct", "--dataset", et_dataset, "--method", "el",
                 "--alpha", 1e-3, "--outer-iters", 4, "--out", out) == 0
     ds = load_dataset(et_dataset)
-    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-4, alpha=1e-3)
-    res = run_method(build_projector(ds.recon_projector), ds, "el", cfg)
+    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-4)
+    res = run_method(build_projector(ds.recon_projector), ds, el(1e-3), cfg)
     assert (out / "convergence_el.csv").read_bytes() \
         == history_csv(res).encode()
 
@@ -150,6 +150,22 @@ def test_phantom_command(tmp_path):
     assert (out / "mask_GR").exists() and (out / "mask_BR").exists()
 
 
+@pytest.mark.parametrize("flags,code", [
+    (("--experiment", "et", "--nx", 22), 2),
+    (("--experiment", "xx"), 2),
+    (("--experiment", "ct", "--phantom-file", "missing.txt"), 3),
+], ids=["et-grid-too-small", "unknown-experiment", "missing-phantom-file"])
+def test_phantom_error_leaves_no_output_directory(flags, code, tmp_path,
+                                                  capsys):
+    out = tmp_path / "ph"
+    flags = [tmp_path / f if f == "missing.txt" else f for f in flags]
+    assert _run("phantom", *flags, "--out", out) == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_command(ct_dataset, tmp_path):
     out = tmp_path / "sw"
     code = _run("sweep", "--dataset", ct_dataset, "--method", "tv",
@@ -165,7 +181,7 @@ def test_sweep_command(ct_dataset, tmp_path):
 def test_sweep_prints_failed_points(ct_dataset, tmp_path, hook_runs,
                                    capsys):
     def failing(run):
-        if run.cfg.alpha == 1e-6:
+        if run.kind.alpha == 1e-6:
             raise NumericalError("non-finite iterate in test")
 
     hook_runs(failing)

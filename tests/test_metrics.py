@@ -11,11 +11,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from eltomo import (EtSimSpec, GridSpec, Image, RegionMask, SolverConfig,
                     SweepSpec, emit_report, make_et_dataset, metrics,
                     projector, rmse, run_comparison, run_method, run_sweep)
-from eltomo.metrics import MethodReport, MethodRun
+from eltomo.metrics import MethodReport, MethodRun, check_method, make_penalty
 from eltomo.projector import build_projector
 from eltomo.solvers import (NumericalError, fixed_point_reconstruct,
                             history_csv, mlem_split_reconstruct)
-from eltomo import el, tikhonov
+from eltomo import el, tikhonov, tv
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,12 @@ def small_et():
                                    total_counts=2e5, n_realizations=2,
                                    seed=3))
     return ds, build_projector(ds.recon_projector)
+
+
+def _method(run, baseline="mlem"):
+    """The method of a run that a hook sees: its penalty's kind, or the
+    dataset's baseline for a run without a penalty."""
+    return baseline if run.kind is None else run.kind.kind
 
 
 def test_rmse_identities(rng):
@@ -79,8 +85,8 @@ def test_sweep_mean_equals_single_run(small_ct):
                      realizations=(0,), outer_iters=4, inner_iters=3)
     result = run_sweep(spec, ds, A=A)
     for i, value in enumerate(spec.values):
-        cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=1e-4, alpha=value)
-        res = run_method(A, ds, "tikhonov", cfg)
+        cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=1e-4)
+        res = run_method(A, ds, tikhonov(value), cfg)
         assert result.mean_rmse[i] == rmse(res.image, ds.ground_truth)
 
 
@@ -110,13 +116,11 @@ def test_sweep_reproducible(small_ct):
 def test_alpha_to_zero_approaches_unregularized(small_ct):
     ds, A = small_ct
     sigma2 = 1.0  # order-one operator scale for this geometry
-    cfg0 = SolverConfig(outer_iters=6, inner_iters=4, rho=1e-30, alpha=0.0)
-    base = fixed_point_reconstruct(A, ds.noisy[0], tikhonov(), cfg0,
+    cfg = SolverConfig(outer_iters=6, inner_iters=4, rho=1e-30)
+    base = fixed_point_reconstruct(A, ds.noisy[0], tikhonov(0.0), cfg,
                                    ground_truth=ds.ground_truth)
-    cfg = SolverConfig(outer_iters=6, inner_iters=4, rho=1e-30,
-                       alpha=1e-10 * sigma2)
-    tiny = fixed_point_reconstruct(A, ds.noisy[0], tikhonov(), cfg,
-                                   ground_truth=ds.ground_truth)
+    tiny = fixed_point_reconstruct(A, ds.noisy[0], tikhonov(1e-10 * sigma2),
+                                   cfg, ground_truth=ds.ground_truth)
     r0 = base.history[-1].rmse
     r1 = tiny.history[-1].rmse
     assert abs(r1 - r0) <= 0.02 * r0
@@ -127,19 +131,21 @@ def test_alpha_to_zero_approaches_unregularized(small_ct):
     ("cgls", "small_et"), ("mlem", "small_ct")],
     ids=["cgls-poisson-small_et", "mlem-ls-small_ct"])
 def test_baseline_of_the_other_fidelity_is_rejected(method, data, request):
-    ds, A = request.getfixturevalue(data)
+    # a run without a penalty is always its dataset's own baseline, so
+    # only a method name can name the other one
+    ds, _ = request.getfixturevalue(data)
     with pytest.raises(ValueError,
                        match=f"^method {method!r} is not supported with "
                              f"{ds.kind} data$"):
-        run_method(A, ds, method, SolverConfig(outer_iters=2))
+        check_method(method, ds.kind)
 
 
 @pytest.mark.parametrize("method", ["el", "mlem"])
 def test_et_data_run_poisson_ml_em(method, small_et):
     ds, A = small_et
-    cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-8)
-    got = run_method(A, ds, method, cfg)
-    kind = None if method == "mlem" else el()
+    cfg = SolverConfig(outer_iters=4, inner_iters=3)
+    got = run_method(A, ds, make_penalty(method, alpha=1e-8), cfg)
+    kind = None if method == "mlem" else el(1e-8)
     want = mlem_split_reconstruct(A, ds.noisy[0], kind, cfg,
                                   ground_truth=ds.ground_truth)
     assert got.image.values.tobytes() == want.image.values.tobytes()
@@ -149,15 +155,16 @@ def test_et_data_run_poisson_ml_em(method, small_et):
 def test_run_methods_returns_each_runs_own_run_method_result(small_ct,
                                                              small_et):
     ct, ct_A = small_ct
-    ct_cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-7)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3)
     et, et_A = small_et
-    et_cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-8)
     # realization 2 is NaN data, which a Sinogram would refuse; it fails
     et = replace(et, noisy=et.noisy + (np.full(et_A.nrows, np.nan),))
     for ds, A, runs in (
-            (ct, ct_A, [MethodRun(m, ct_cfg) for m in ("cgls", "tv", "el")]),
-            (et, et_A, [MethodRun(m, et_cfg, r) for m in ("mlem", "tv", "el")
-                        for r in (0, 1)] + [MethodRun("el", et_cfg, 2)])):
+            (ct, ct_A, [MethodRun(k, cfg)
+                        for k in (None, tv(1e-7), el(1e-7))]),
+            (et, et_A, [MethodRun(k, cfg, r)
+                        for k in (None, tv(1e-8), el(1e-8)) for r in (0, 1)]
+             + [MethodRun(el(1e-8), cfg, 2)])):
         outcomes = metrics.run_methods(A, ds, runs)
         assert len(outcomes) == len(runs)
         for run, got in zip(runs, outcomes):
@@ -240,7 +247,7 @@ def test_comparison_solves_each_sweep_point_once(small_ct, monkeypatch,
                                                  hook_runs):
     ds, A = small_ct
     calls = []
-    hook_runs(lambda run: calls.append(run.method))
+    hook_runs(lambda run: calls.append(_method(run, baseline="cgls")))
     monkeypatch.setattr(projector, "THREADS", 1)
     run_comparison(ds, outer_iters=3, inner_iters=2, sweep_points=2, A=A)
     # each of the three sweeps' two points once and the baseline once, in
@@ -260,8 +267,9 @@ def test_comparison_reports_equal_a_rerun_at_the_best_point(small_et):
     for rep in reports[1:]:
         # oracle: solve the best point again on every realization
         alpha, mu = params[rep.method]
-        cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=alpha)
-        results = [run_method(A, ds, rep.method, cfg, realization=r, mu=mu)
+        cfg = SolverConfig(outer_iters=4, inner_iters=3)
+        kind = make_penalty(rep.method, alpha=alpha, mu=mu)
+        results = [run_method(A, ds, kind, cfg, realization=r)
                    for r in realizations]
 
         def mean_rmse(mask=None):
@@ -280,7 +288,7 @@ def test_comparison_raises_on_failed_realization_at_best_point(
     ds, A = small_et
 
     def failing(run):
-        if run.method == "el" and run.realization == 1:
+        if _method(run) == "el" and run.realization == 1:
             raise NumericalError("boom")
 
     hook_runs(failing)
@@ -306,8 +314,8 @@ def test_concurrent_sweep_failures_match_serial(small_et, monkeypatch,
     def failing(run):
         where.add(_on_worker())
         time.sleep(0.01)  # leaves the worker time to take batches
-        if run.cfg.alpha == 1e-8 and run.realization == 1:
-            raise NumericalError(f"boom at {run.cfg.alpha:g}/"
+        if run.kind.alpha == 1e-8 and run.realization == 1:
+            raise NumericalError(f"boom at {run.kind.alpha:g}/"
                                  f"{run.realization}")
 
     hook_runs(failing)
@@ -447,7 +455,7 @@ def test_tvl2_runs_go_ahead_of_queued_el_runs(small_et, two_threads,
     waited: list[bool] = []
 
     def ordered(run):
-        method = run.method
+        method = _method(run)
         with lock:
             started.append(method)
             count = started.count(method)
@@ -477,11 +485,12 @@ def test_value_error_in_a_worker_tv_run_ends_the_comparison(
     worker_failed = threading.Event()
 
     def worker_fails(run):
-        started.append(run.method)
-        if run.method == "tv" and _on_worker():
+        method = _method(run)
+        started.append(method)
+        if method == "tv" and _on_worker():
             worker_failed.set()
             raise ValueError("bad input on the worker")
-        if run.method == "tv":
+        if method == "tv":
             assert worker_failed.wait(timeout=20)
 
     hook_runs(worker_fails)
@@ -502,8 +511,9 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
     started: list[str] = []
 
     def tv_fails(run):
-        started.append(run.method)
-        if run.method == "tv" and failing(run.realization):
+        method = _method(run)
+        started.append(method)
+        if method == "tv" and failing(run.realization):
             raise NumericalError(f"tv fails on realization "
                                  f"{run.realization}")
 
@@ -516,8 +526,8 @@ def test_failed_tv_sweep_raises_before_any_tvl2_run(
 
 def test_emit_report_single_method(tmp_path, small_ct):
     ds, A = small_ct
-    cfg = SolverConfig(outer_iters=4, inner_iters=3, alpha=1e-7)
-    res = run_method(A, ds, "tv", cfg)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3)
+    res = run_method(A, ds, tv(1e-7), cfg)
     rep = MethodReport(method="tv", best_param=1e-7,
                        rmse=rmse(res.image, ds.ground_truth),
                        image=res.image, history_result=res)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from eltomo import regularizers
 from eltomo.regularizers import (_EPS_REL, _GAMMA_REL, Penalty, _amplitude,
                                  _grad_mag2, frozen_quadratic)
 
-ALL_KINDS = (tikhonov(), tv(), tv_l2(mu=0.5), el())
+ALL_KINDS = (tikhonov(1.0), tv(1.0), tv_l2(1.0, mu=0.5), el(1.0))
 
 
 def _smooth_image(rng, n=32, offset=0.1):
@@ -63,7 +65,7 @@ def test_zero_image_weights_default_to_one():
 
 def test_tikhonov_matrix_is_identity(rng):
     img = _smooth_image(rng)
-    R = build_gradient_matrix(tikhonov(), img, alpha=1.0)
+    R = build_gradient_matrix(tikhonov(1.0), img)
     v = rng.standard_normal(img.grid.npixels)
     assert_allclose(R.matrix @ v, v, rtol=0, atol=0)
 
@@ -71,7 +73,7 @@ def test_tikhonov_matrix_is_identity(rng):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
 def test_matrices_symmetric_and_psd(kind, rng):
     img = _smooth_image(rng)
-    R = build_gradient_matrix(kind, img, alpha=1.0)
+    R = build_gradient_matrix(kind, img)
     m = R.matrix
     scale = np.abs(m.data).max()
     asym = abs(m - m.T)
@@ -81,11 +83,11 @@ def test_matrices_symmetric_and_psd(kind, rng):
         assert float(v @ (m @ v)) >= -1e-12 * float(v @ v) * scale
 
 
-@pytest.mark.parametrize("kind", [tv(), tv_l2(mu=0.5), el()],
+@pytest.mark.parametrize("kind", [tv(1.0), tv_l2(1.0, mu=0.5), el(1.0)],
                          ids=lambda k: k.kind)
 def test_difference_matrices_annihilate_constants(kind, rng):
     img = _smooth_image(rng)
-    R = build_gradient_matrix(kind, img, alpha=1.0)
+    R = build_gradient_matrix(kind, img)
     ones = np.ones(img.grid.npixels)
     scale = np.abs(R.matrix.data).max()
     assert np.abs(R.matrix @ ones).max() <= 1e-12 * scale
@@ -96,8 +98,8 @@ def test_matvec_matches_frozen_functional_gradient(kind, rng):
     # oracle: central finite differences of the frozen quadratic,
     # evaluated with numpy stencils independent of the sparse matrices
     img = _smooth_image(rng)
-    R = build_gradient_matrix(kind, img, alpha=1.0)
-    q = frozen_quadratic(kind, img, alpha=1.0)
+    R = build_gradient_matrix(kind, img)
+    q = frozen_quadratic(kind, img)
     v = rng.standard_normal(img.grid.npixels)
     g = R.matrix @ v
     delta = 1e-6 * np.abs(v).max()
@@ -111,9 +113,9 @@ def test_matvec_matches_frozen_functional_gradient(kind, rng):
 
 def test_el_matrix_scale_invariant(rng):
     img = _smooth_image(rng)
-    r1 = build_gradient_matrix(el(), img, alpha=1.0).matrix
-    r2 = build_gradient_matrix(el(), Image(img.grid, img.values * 7.0),
-                               alpha=1.0).matrix
+    r1 = build_gradient_matrix(el(1.0), img).matrix
+    r2 = build_gradient_matrix(el(1.0),
+                               Image(img.grid, img.values * 7.0)).matrix
     diff = abs(r1 - r2)
     assert (diff.data.max() if diff.nnz else 0.0) <= 1e-12 * np.abs(r1.data).max()
 
@@ -121,10 +123,10 @@ def test_el_matrix_scale_invariant(rng):
 def test_penalty_values_on_constant_image():
     n = 16
     img = Image(GridSpec(n, n), np.full(n * n, 2.0))
-    assert penalty_value(el(), img, alpha=1.0) == 0.0
+    assert penalty_value(el(1.0), img) == 0.0
     # smoothed TV of a constant is N * eps with eps = eps_rel * umax
     expected = n * n * _EPS_REL * 2.0
-    assert_allclose(penalty_value(tv(), img, alpha=1.0), expected,
+    assert_allclose(penalty_value(tv(1.0), img), expected,
                     rtol=1e-12)
 
 
@@ -133,7 +135,7 @@ def test_tikhonov_penalty_of_unit_norm_image(rng):
     v /= np.linalg.norm(v)
     img = Image(GridSpec(8, 8), v)
     # (alpha/2) |u|^2, whose gradient is the matrix alpha I applied to u
-    assert_allclose(penalty_value(tikhonov(), img, alpha=1.0), 0.5,
+    assert_allclose(penalty_value(tikhonov(1.0), img), 0.5,
                     rtol=1e-12)
 
 
@@ -146,21 +148,20 @@ def test_el_penalty_prefers_edge_over_oscillation():
     grid = GridSpec(n, n)
     zigzag = Image(grid, np.tile((np.arange(n) % 2).astype(float), (n, 1)))
     step = Image(grid, np.tile((np.arange(n) >= n // 2).astype(float), (n, 1)))
-    assert (penalty_value(el(), step, alpha=1.0)
-            < penalty_value(el(), zigzag, alpha=1.0))
+    assert penalty_value(el(1.0), step) < penalty_value(el(1.0), zigzag)
 
 
-@pytest.mark.parametrize("kind,alpha", [
-    (tikhonov(), 0.3), (el(), 0.3), (tv_l2(mu=0.5), 0.0)],
+@pytest.mark.parametrize("kind", [
+    tikhonov(0.3), el(0.3), tv_l2(0.0, mu=0.5)],
     ids=["tikhonov", "el", "tvl2-alpha0"])
-def test_quadratic_penalty_value_is_half_the_frozen_form(kind, alpha, rng):
+def test_quadratic_penalty_value_is_half_the_frozen_form(kind, rng):
     # where the penalty is quadratic once its diagonals are frozen at u,
     # its value at u is 0.5 u' (alpha R(u)) u, the functional the
     # solvers descend
     img = _smooth_image(rng)
-    m = build_gradient_matrix(kind, img, alpha=alpha).matrix
+    m = build_gradient_matrix(kind, img).matrix
     u = img.ravel()
-    assert_allclose(penalty_value(kind, img, alpha=alpha),
+    assert_allclose(penalty_value(kind, img),
                     0.5 * float(u @ (m @ u)), rtol=1e-12)
 
 
@@ -171,8 +172,9 @@ def test_matrix_carries_the_penalty_value(kind, alpha, image, rng):
     # the all-zero image takes the unit-amplitude substitute
     img = (_smooth_image(rng) if image == "smooth"
            else Image(GridSpec(32, 32), np.zeros(32 * 32)))
-    carried = build_gradient_matrix(kind, img, alpha=alpha).value
-    assert carried.hex() == penalty_value(kind, img, alpha=alpha).hex()
+    kind = replace(kind, alpha=alpha)
+    carried = build_gradient_matrix(kind, img).value
+    assert carried.hex() == penalty_value(kind, img).hex()
 
 
 def test_penalty_validation():
@@ -218,10 +220,10 @@ def _stencil(grid: GridSpec, name: str) -> sp.csr_matrix:
     return sp.kron(_d2(grid.ny, grid.hy), ix, format="csr")
 
 
-def _triple_product(kind, u, alpha):
+def _triple_product(kind, u):
     """Oracle: the penalty matrix alpha R(u) as a sum of sparse triple
     products D' diag(w) D over the difference stencils."""
-    g = u.grid
+    g, alpha = u.grid, kind.alpha
     ops = {name: _stencil(g, name) for name in ("dx", "dy", "lx", "ly")}
 
     def term(name, w):
@@ -249,15 +251,15 @@ def _triple_product(kind, u, alpha):
 
 @pytest.mark.parametrize("grid", [GridSpec(32, 32), GridSpec(12, 7)],
                          ids=["32x32", "12x7"])
-@pytest.mark.parametrize("kind,alpha", [
-    (tv(), 0.3), (tv_l2(mu=0.5), 0.3), (el(), 0.3),
-    (tv_l2(mu=1.0), 0.0),  # the curvature part probed by mu_scale_heuristic
+@pytest.mark.parametrize("kind", [
+    tv(0.3), tv_l2(0.3, mu=0.5), el(0.3),
+    tv_l2(0.0, mu=1.0),  # the curvature part probed by mu_scale_heuristic
 ], ids=["tv", "tvl2", "el", "tvl2-alpha0"])
-def test_fixed_pattern_fill_matches_triple_product(grid, kind, alpha, rng):
+def test_fixed_pattern_fill_matches_triple_product(grid, kind, rng):
     img = Image(grid, gaussian_filter(
         rng.standard_normal((grid.ny, grid.nx)), 2.0) + 0.1)
-    m = build_gradient_matrix(kind, img, alpha=alpha).matrix.tocsr()
-    oracle = _triple_product(kind, img, alpha)
+    m = build_gradient_matrix(kind, img).matrix.tocsr()
+    oracle = _triple_product(kind, img)
     assert m.has_canonical_format
     assert np.array_equal(m.indptr, oracle.indptr)
     assert np.array_equal(m.indices, oracle.indices)

@@ -21,7 +21,7 @@ from eltomo.projector import (ProjectorSpec, SparseOperator, build_projector,
                               default_detector, forward)
 from eltomo import metrics, projector, solvers
 from eltomo.metrics import SweepSpec, run_sweep
-from eltomo.regularizers import build_gradient_matrix, penalty_value
+from eltomo.regularizers import Penalty, build_gradient_matrix, penalty_value
 from eltomo.solvers import (MlemRun, NumericalError,
                             _factorized_preconditioner, estimate_sigma,
                             history_csv, mlem_batch, penalty_eigenvalue)
@@ -92,25 +92,25 @@ def test_tiny_tikhonov_recovers_noiseless_truth():
     truth = _blob_truth(A.spec.grid)
     b = forward(A, truth)
     sigma = estimate_sigma(A)
-    cfg = SolverConfig(outer_iters=3, inner_iters=600, rho=1e-26,
-                       alpha=1e-12 * sigma ** 2)
-    res = fixed_point_reconstruct(A, b, tikhonov(), cfg, ground_truth=truth)
+    cfg = SolverConfig(outer_iters=3, inner_iters=600, rho=1e-26)
+    res = fixed_point_reconstruct(A, b, tikhonov(1e-12 * sigma ** 2), cfg,
+                                  ground_truth=truth)
     assert res.history[-1].rmse <= 1e-4
 
 
-@pytest.mark.parametrize("kind,alpha", [
-    (tikhonov(), 1e-3), (tv(), 1e-4), (tv_l2(mu=1e-4), 1e-4), (el(), 1e-8)],
-    ids=lambda v: getattr(v, "kind", v))
-def test_first_outer_step_matches_dense_solve(kind, alpha):
+@pytest.mark.parametrize("kind", [
+    tikhonov(1e-3), tv(1e-4), tv_l2(1e-4, mu=1e-4), el(1e-8)],
+    ids=lambda k: f"{k.kind}-{k.alpha}")
+def test_first_outer_step_matches_dense_solve(kind):
     A = _operator(16, 20)
     truth = _blob_truth(A.spec.grid)
     b = forward(A, truth)
     dense = A.matrix.toarray()
     u0 = Image(A.spec.grid, np.zeros(A.ncols))
-    R = build_gradient_matrix(kind, u0, alpha=alpha)
+    R = build_gradient_matrix(kind, u0)
     h = dense.T @ dense + R.matrix.toarray()
     s_dense = np.linalg.solve(h, dense.T @ b.ravel())
-    cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28, alpha=alpha)
+    cfg = SolverConfig(outer_iters=1, inner_iters=800, rho=1e-28)
     res = fixed_point_reconstruct(A, b, kind, cfg)
     rel = np.linalg.norm(res.image.ravel() - s_dense) / np.linalg.norm(s_dense)
     assert rel <= 1e-6
@@ -119,7 +119,7 @@ def test_first_outer_step_matches_dense_solve(kind, alpha):
 def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
                                                         monkeypatch):
     ds, A = small_ct
-    alpha = 1e-7
+    kind = tv(1e-7)
     calls = []
     original = solvers._cg
 
@@ -129,15 +129,14 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
         return out
 
     monkeypatch.setattr(solvers, "_cg", recorded)
-    cfg = SolverConfig(outer_iters=3, inner_iters=5, rho=1e-20, alpha=alpha)
-    fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg)
+    cfg = SolverConfig(outer_iters=3, inner_iters=5, rho=1e-20)
+    fixed_point_reconstruct(A, ds.noisy[0], kind, cfg)
     assert len(calls) == 3
     bv = ds.noisy[0].ravel()
     u_start = np.zeros(A.ncols)
     for op, r_mat, rhs, max_iters, apply_m, step in calls:
         # objective with the penalty matrix frozen at the outer iterate
-        R = build_gradient_matrix(tv(), Image(A.spec.grid, u_start),
-                                  alpha=alpha).matrix
+        R = build_gradient_matrix(kind, Image(A.spec.grid, u_start)).matrix
 
         def frozen_objective(s):
             r = A.apply(u_start + s) - bv
@@ -159,10 +158,9 @@ def test_frozen_objective_nonincreasing_across_inner_cg(small_ct,
 
 def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
     ds, A = small_ct
-    alpha = 1e-6
     # the step equation of an el solve's first outer iteration
-    R = build_gradient_matrix(el(), Image(A.spec.grid, np.zeros(A.ncols)),
-                              alpha=alpha)
+    R = build_gradient_matrix(el(1e-6),
+                              Image(A.spec.grid, np.zeros(A.ncols)))
     rhs = A.apply_adjoint(ds.noisy[0].ravel())
     apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
     plain = solvers._cg(A, R.matrix, rhs, 400, lambda r: r)[0]
@@ -181,7 +179,7 @@ def test_preconditioned_cg_matches_and_saves_iterations(small_ct):
 @pytest.mark.parametrize("max_iters", [1, 5])
 def test_cg_returns_the_products_of_its_step(small_ct, max_iters):
     ds, A = small_ct
-    R = build_gradient_matrix(el(), ds.ground_truth, alpha=1e-6)
+    R = build_gradient_matrix(el(1e-6), ds.ground_truth)
     rhs = A.apply_adjoint(ds.noisy[0].ravel())
     apply_m = _factorized_preconditioner(R, estimate_sigma(A), A.spec.grid)
     s, iters, a_s, ata_s = solvers._cg(A, R.matrix, rhs, max_iters, apply_m)
@@ -198,14 +196,14 @@ def test_cg_returns_the_products_of_its_step(small_ct, max_iters):
     assert not (s.any() or a_s.any() or ata_s.any())
 
 
-@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
+@pytest.mark.parametrize("kind", [el(1e-7), tv(1e-7), tv_l2(1e-7, mu=0.5)],
                          ids=lambda k: k.kind)
 def test_carried_fidelity_does_not_drift(small_ct, kind):
     # Au - b is carried through 40 outer iterations by adding inner CG's
     # A s; the last fidelity must still match a fresh projection
     ds, A = small_ct
     b = ds.noisy[0]
-    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30, alpha=1e-7)
+    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30)
     res = fixed_point_reconstruct(A, b, kind, cfg)
     assert len(res.history) == cfg.outer_iters
     r = A.apply(res.image.ravel()) - b.ravel()
@@ -231,30 +229,29 @@ def test_tv_solve_does_not_amplify_rounding(half_ct, alpha, monkeypatch):
     # sigma by 1e-12 relative may move the RMSE by at most 1e-6 relative.
     # At a TV smoothing eps of 1e-5 umax it moves by 2e-5 to 2e-4.
     ds, A, sigma = half_ct
-    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30,
-                       alpha=alpha)
+    cfg = SolverConfig(outer_iters=40, inner_iters=5, rho=1e-30)
     errors = []
     for scale in (1.0, 1.0 + 1e-12):
         monkeypatch.setattr(solvers, "_operator_sigma",
                             lambda _A, scale=scale: sigma * scale)
-        res = fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg)
+        res = fixed_point_reconstruct(A, ds.noisy[0], tv(alpha), cfg)
         errors.append(rmse(res.image, ds.ground_truth))
     assert abs(errors[1] - errors[0]) <= 1e-6 * errors[0]
 
 
 def test_solvers_deterministic(small_ct):
     ds, A = small_ct
-    cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=1e-7)
-    a = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
-    b = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
+    cfg = SolverConfig(outer_iters=5, inner_iters=5)
+    a = fixed_point_reconstruct(A, ds.noisy[0], el(1e-7), cfg)
+    b = fixed_point_reconstruct(A, ds.noisy[0], el(1e-7), cfg)
     assert np.array_equal(a.image.values, b.image.values)
     assert a.history == b.history
 
 
 def test_early_stop_on_small_steps(small_ct):
     ds, A = small_ct
-    cfg = SolverConfig(outer_iters=60, inner_iters=5, rho=1e2, alpha=1e-7)
-    res = fixed_point_reconstruct(A, ds.noisy[0], tv(), cfg)
+    cfg = SolverConfig(outer_iters=60, inner_iters=5, rho=1e2)
+    res = fixed_point_reconstruct(A, ds.noisy[0], tv(1e-7), cfg)
     assert res.terminated_early
     assert len(res.history) < 60
     assert res.history[-1].step_norm2 <= 1e2
@@ -262,15 +259,15 @@ def test_early_stop_on_small_steps(small_ct):
 
 def test_step_test_on_the_last_iteration_ends_the_run_early(small_ct):
     ds, A = small_ct
-    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-30, alpha=1e-7)
+    cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=1e-30)
     steps = [h.step_norm2
-             for h in fixed_point_reconstruct(A, ds.noisy[0], el(),
+             for h in fixed_point_reconstruct(A, ds.noisy[0], el(1e-7),
                                               cfg).history]
     assert len(steps) == 4 and min(steps[:3]) > steps[3]
     # the test first passes on the last allowed iteration
     for rho, early in ((steps[3], True), (0.5 * steps[3], False)):
-        cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=rho, alpha=1e-7)
-        res = fixed_point_reconstruct(A, ds.noisy[0], el(), cfg)
+        cfg = SolverConfig(outer_iters=4, inner_iters=5, rho=rho)
+        res = fixed_point_reconstruct(A, ds.noisy[0], el(1e-7), cfg)
         assert [h.step_norm2 for h in res.history] == steps
         assert res.terminated_early == early
 
@@ -279,7 +276,7 @@ def test_mlem_noiseless_truth_is_fixed_point():
     A = _operator(32, 40)
     truth = _blob_truth(A.spec.grid, strictly_positive=True)
     b = forward(A, truth)
-    cfg = SolverConfig(outer_iters=1, inner_iters=1, alpha=0.0)
+    cfg = SolverConfig(outer_iters=1, inner_iters=1)
     res = mlem_split_reconstruct(A, b, None, cfg)
     # one update from ones will not be at truth; instead verify the
     # update map leaves the true image unmoved (rays that miss the grid
@@ -299,8 +296,8 @@ def test_mlem_nonnegative_iterates_and_count_conservation(rng):
     lam = forward(A, truth).values
     counts = rng.poisson(lam * 50.0).astype(float).ravel()
     b = Sinogram(A.spec.angles, A.spec.nbins, counts)
-    cfg = SolverConfig(outer_iters=50, inner_iters=3, rho=1e-30, alpha=3e-9)
-    res = mlem_split_reconstruct(A, b, el(), cfg, ground_truth=truth)
+    cfg = SolverConfig(outer_iters=50, inner_iters=3, rho=1e-30)
+    res = mlem_split_reconstruct(A, b, el(3e-9), cfg, ground_truth=truth)
     assert res.image.values.min() >= 0.0
     assert all(h.penalty >= 0.0 for h in res.history)
 
@@ -314,9 +311,8 @@ def test_mlem_nonnegative_iterates_and_count_conservation(rng):
 
 
 @pytest.mark.parametrize("rho", [1e-30, 10.0], ids=["all", "early-stop"])
-@pytest.mark.parametrize("kind,alpha", [(None, 0.0), (el(), 3e-9)],
-                         ids=["mlem", "el"])
-def test_mlem_projects_each_iterate_once(kind, alpha, rho, monkeypatch):
+@pytest.mark.parametrize("kind", [None, el(3e-9)], ids=["mlem", "el"])
+def test_mlem_projects_each_iterate_once(kind, rho, monkeypatch):
     A = _operator(16, 24)
     truth = _blob_truth(A.spec.grid, strictly_positive=True)
     b = Sinogram(A.spec.angles, A.spec.nbins, forward(A, truth).values * 50.0)
@@ -329,7 +325,7 @@ def test_mlem_projects_each_iterate_once(kind, alpha, rho, monkeypatch):
             return _original(self, v)
 
         monkeypatch.setattr(SparseOperator, name, counted)
-    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho, alpha=alpha)
+    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho)
     res = mlem_split_reconstruct(A, b, kind, cfg)
     assert res.terminated_early == (rho > 1.0)
     assert 1 < len(res.history) <= cfg.outer_iters
@@ -353,8 +349,8 @@ def test_fixed_point_projector_calls(rho, monkeypatch):
             return _original(self, v)
 
         monkeypatch.setattr(SparseOperator, name, counted)
-    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho, alpha=3e-9)
-    res = fixed_point_reconstruct(A, b, el(), cfg)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho)
+    res = fixed_point_reconstruct(A, b, el(3e-9), cfg)
     assert len(res.history) == (1 if rho > 1.0 else cfg.outer_iters)
     # sigma's 10 power steps on A'A, A'b once, then per outer iteration
     # only inner CG's inner_iters products with A'A: A s and A'A s come
@@ -379,7 +375,8 @@ def _count_penalty_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("rho", [1e-30, 1e30], ids=["all", "early-stop"])
-@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5), tikhonov()],
+@pytest.mark.parametrize("kind", [el(3e-9), tv(3e-9), tv_l2(3e-9, mu=0.5),
+                                  tikhonov(3e-9)],
                          ids=lambda k: k.kind)
 def test_fixed_point_freezes_each_iterate_once(kind, rho, monkeypatch):
     # R is built at u = 0 and once after each step; the history's penalty
@@ -387,13 +384,12 @@ def test_fixed_point_freezes_each_iterate_once(kind, rho, monkeypatch):
     A = _operator(16, 24)
     b = forward(A, _blob_truth(A.spec.grid))
     calls = _count_penalty_calls(monkeypatch)
-    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho, alpha=3e-9)
+    cfg = SolverConfig(outer_iters=4, inner_iters=3, rho=rho)
     res = fixed_point_reconstruct(A, b, kind, cfg)
     assert len(res.history) == (1 if rho > 1.0 else cfg.outer_iters)
     assert calls == {"build_gradient_matrix": len(res.history) + 1,
                      "penalty_value": 0}
-    assert res.history[-1].penalty == penalty_value(kind, res.image,
-                                                    cfg.alpha)
+    assert res.history[-1].penalty == penalty_value(kind, res.image)
 
 
 @pytest.mark.parametrize("rho", [1e-30, 10.0], ids=["all", "early-stop"])
@@ -404,8 +400,8 @@ def test_mlem_evaluates_one_penalty_per_iteration(rho, monkeypatch):
     truth = _blob_truth(A.spec.grid, strictly_positive=True)
     b = Sinogram(A.spec.angles, A.spec.nbins, forward(A, truth).values * 50.0)
     calls = _count_penalty_calls(monkeypatch)
-    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho, alpha=3e-9)
-    res = mlem_split_reconstruct(A, b, el(), cfg)
+    cfg = SolverConfig(outer_iters=30, inner_iters=3, rho=rho)
+    res = mlem_split_reconstruct(A, b, el(3e-9), cfg)
     assert 1 < len(res.history) <= cfg.outer_iters
     assert calls == {"build_gradient_matrix": len(res.history),
                      "penalty_value": len(res.history)}
@@ -425,17 +421,17 @@ def test_batch_runs_equal_their_runs_alone(monkeypatch):
     alpha = {m: metrics.alpha_scale_heuristic(A, ds, m, mu=mu)
              for m in ("tv", "el", "tvl2")}
 
-    def cfg(a, rho=1e-30):
-        return SolverConfig(outer_iters=8, inner_iters=3, rho=rho, alpha=a)
+    def cfg(rho=1e-30):
+        return SolverConfig(outer_iters=8, inner_iters=3, rho=rho)
 
     steps = [h.step_norm2 for h in
-             mlem_split_reconstruct(A, b1, None, cfg(0.0)).history]
-    runs = [MlemRun(b0, tv(), cfg(alpha["tv"]), truth),
-            MlemRun(b1, el(), cfg(alpha["el"]), truth),
-            MlemRun(nan, el(), cfg(alpha["el"]), truth),
-            MlemRun(b0, tv_l2(mu), cfg(alpha["tvl2"]), truth),
-            MlemRun(b1, None, cfg(0.0, rho=steps[2]), None),
-            MlemRun(b1, tv(), cfg(10.0 * alpha["tv"]), truth)]
+             mlem_split_reconstruct(A, b1, None, cfg()).history]
+    runs = [MlemRun(b0, tv(alpha["tv"]), cfg(), truth),
+            MlemRun(b1, el(alpha["el"]), cfg(), truth),
+            MlemRun(nan, el(alpha["el"]), cfg(), truth),
+            MlemRun(b0, tv_l2(alpha["tvl2"], mu), cfg(), truth),
+            MlemRun(b1, None, cfg(rho=steps[2]), None),
+            MlemRun(b1, tv(10.0 * alpha["tv"]), cfg(), truth)]
     calls = {"apply": 0, "apply_adjoint": 0}
     for name in calls:
         original = getattr(SparseOperator, name)
@@ -452,7 +448,7 @@ def test_batch_runs_equal_their_runs_alone(monkeypatch):
 
     assert isinstance(batch[2], NumericalError)
     with pytest.raises(NumericalError, match=f"^{batch[2]}$"):
-        mlem_split_reconstruct(A, nan, el(), cfg(alpha["el"]), truth)
+        mlem_split_reconstruct(A, nan, el(alpha["el"]), cfg(), truth)
     lengths = []
     for run, got in zip(runs, batch):
         if run.b is nan:
@@ -464,6 +460,29 @@ def test_batch_runs_equal_their_runs_alone(monkeypatch):
         assert got.terminated_early == want.terminated_early
         lengths.append((len(got.history), got.terminated_early))
     assert lengths == [(8, False)] * 3 + [(3, True), (8, False)]
+
+
+def test_mlem_denoises_whenever_it_has_a_penalty():
+    # at alpha = 0 every penalty but tvl2 with mu > 0 has R = 0: tau is 1
+    # and each denoising step returns its start, so the run is plain
+    # ML-EM bit for bit, image and history. tvl2's curvature term, which
+    # mu_scale_heuristic probes, still smooths at alpha = 0.
+    ds = make_et_dataset(EtSimSpec(grid=GridSpec(32, 32), n_angles=16,
+                                   total_counts=2e5, n_realizations=1,
+                                   seed=3))
+    A = build_projector(ds.recon_projector)
+    b, truth = ds.noisy[0], ds.ground_truth
+    cfg = SolverConfig(outer_iters=15, inner_iters=3, rho=1e-30)
+    plain = mlem_split_reconstruct(A, b, None, cfg, truth)
+    for kind in (tikhonov(0.0), tv(0.0), tv_l2(0.0, mu=0.0), el(0.0)):
+        res = mlem_split_reconstruct(A, b, kind, cfg, truth)
+        assert res.image.values.tobytes() == plain.image.values.tobytes()
+        assert history_csv(res) == history_csv(plain)
+    curved = mlem_split_reconstruct(
+        A, b, tv_l2(0.0, mu=metrics.mu_scale_heuristic(A, ds)), cfg, truth)
+    assert len(curved.history) == len(plain.history) == cfg.outer_iters
+    assert np.max(np.abs(curved.image.values - plain.image.values)) > 0.0
+    assert all(h.penalty > 0.0 for h in curved.history)
 
 
 def test_batch_of_no_runs_is_empty():
@@ -481,13 +500,12 @@ def test_data_scale_scales_the_reconstruction_exactly(small_ct, method, c):
     # amplitude substituted at the zero start, whatever the data scale.
     ds, A = small_ct
     b = ds.noisy[0]
-    cfg = SolverConfig(outer_iters=20, inner_iters=5, rho=1e-300,
-                       alpha=1e-7)
+    cfg = SolverConfig(outer_iters=20, inner_iters=5, rho=1e-300)
 
     def reconstruct(sino):
         if method == "cgls":
             return cgls(A, sino, cfg.outer_iters)
-        return fixed_point_reconstruct(A, sino, el(), cfg)
+        return fixed_point_reconstruct(A, sino, el(1e-7), cfg)
 
     base = reconstruct(b)
     scaled = reconstruct(Sinogram(b.angles, b.nbins, c * b.values))
@@ -503,7 +521,7 @@ def test_mlem_rejects_negative_data():
     values = -np.ones(A.nrows)
     b = Sinogram(A.spec.angles, A.spec.nbins, values)
     with pytest.raises(ValueError):
-        mlem_split_reconstruct(A, b, None, SolverConfig(alpha=0.0))
+        mlem_split_reconstruct(A, b, None, SolverConfig())
 
 
 def test_denoising_step_strictly_decreases_objective(rng):
@@ -512,8 +530,7 @@ def test_denoising_step_strictly_decreases_objective(rng):
     grid = GridSpec(32, 32)
     noisy = Image(grid, gaussian_filter(rng.standard_normal((32, 32)), 1.0)
                   + 0.3 * rng.standard_normal((32, 32)) + 1.0)
-    alpha = 1e-8
-    R = build_gradient_matrix(el(), noisy, alpha=alpha).matrix
+    R = build_gradient_matrix(el(1e-8), noisy).matrix
     tau = 1.0 / (1.0 + penalty_eigenvalue(R))
     f0 = noisy.ravel().copy()
     f = f0.copy()
@@ -555,9 +572,9 @@ def test_non_finite_data_aborts():
     A = _operator(8, 6)
     huge = np.full(A.nrows, 1e300)
     b = Sinogram(A.spec.angles, A.spec.nbins, huge)
-    cfg = SolverConfig(outer_iters=5, inner_iters=5, alpha=0.0)
+    cfg = SolverConfig(outer_iters=5, inner_iters=5)
     with pytest.raises((NumericalError, ValueError)):
-        fixed_point_reconstruct(A, b, tikhonov(), cfg)
+        fixed_point_reconstruct(A, b, tikhonov(0.0), cfg)
 
 
 def _top_eigenvalue(m):
@@ -569,10 +586,10 @@ def _noisy_penalty(kind, rng):
     grid = GridSpec(32, 32)
     img = Image(grid, gaussian_filter(rng.standard_normal((32, 32)), 1.0)
                 + 0.3 * rng.standard_normal((32, 32)) + 1.0)
-    return build_gradient_matrix(kind, img, alpha=1.0).matrix
+    return build_gradient_matrix(kind, img).matrix
 
 
-@pytest.mark.parametrize("kind", [el(), tv(), tv_l2(mu=0.5)],
+@pytest.mark.parametrize("kind", [el(1.0), tv(1.0), tv_l2(1.0, mu=0.5)],
                          ids=lambda k: k.kind)
 def test_penalty_eigenvalue_matches_largest_eigenvalue(kind, rng):
     R = _noisy_penalty(kind, rng)
@@ -583,7 +600,7 @@ def test_penalty_eigenvalue_matches_largest_eigenvalue(kind, rng):
     assert lam * (1 - 1e-9) <= penalty_eigenvalue(R) <= 1.10 * lam
 
 
-_BOUND_KINDS = [el(), tv(), tv_l2(mu=0.5), tikhonov()]
+_BOUND_KINDS = [el(1.0), tv(1.0), tv_l2(1.0, mu=0.5), tikhonov(1.0)]
 
 
 @pytest.mark.parametrize("kind", _BOUND_KINDS, ids=lambda k: k.kind)
@@ -640,8 +657,8 @@ def test_mlem_denoising_step_stays_within_one_over_lipschitz(method,
         return bound
 
     monkeypatch.setattr(solvers, "penalty_eigenvalue", recorded)
-    cfg = SolverConfig(outer_iters=6, inner_iters=5, rho=1e-30, alpha=alpha)
-    kind = metrics.make_penalty(method, mu=mu)
+    cfg = SolverConfig(outer_iters=6, inner_iters=5, rho=1e-30)
+    kind = metrics.make_penalty(method, alpha=alpha, mu=mu)
     mlem_split_reconstruct(A, ds.noisy[0], kind, cfg)
     assert len(seen) == cfg.outer_iters
     for R, bound in seen:
@@ -659,11 +676,12 @@ def test_estimate_sigma_matches_largest_singular_value(fwhm):
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
 def test_config_rejects_bad_alpha(alpha):
+    # the weight is the penalty's, checked when the penalty is built
     with pytest.raises(ValueError, match="alpha"):
-        SolverConfig(alpha=alpha)
+        Penalty("el", alpha=alpha)
 
 
-_KINDS = [tikhonov(), tv(), tv_l2(mu=0.5), el()]
+_KINDS = [tikhonov(1e-3), tv(1e-3), tv_l2(1e-3, mu=0.5), el(1e-3)]
 _GRIDS = [GridSpec(32, 32), GridSpec(12, 7, dx=1.0, dy=1.5)]  # hx != hy
 
 
@@ -671,7 +689,7 @@ def _preconditioner(kind, grid, values):
     """(M^-1, H) for H = sigma^2 I + R(values), R carrying alpha, with
     the penalty term 1e3 times stiffer than the identity part, as in the
     solves the preconditioner is there for."""
-    R = build_gradient_matrix(kind, Image(grid, values), alpha=1e-3)
+    R = build_gradient_matrix(kind, Image(grid, values))
     sigma = np.sqrt(penalty_eigenvalue(R.matrix) / 1e3)
     h = sigma ** 2 * sp.identity(grid.npixels) + R.matrix
     return _factorized_preconditioner(R, sigma, grid), h
@@ -753,11 +771,12 @@ ds = make_et_dataset(EtSimSpec(grid=GridSpec(112, 112), n_angles=30,
                                n_realizations=1, seed=5))
 A = build_projector(ds.recon_projector)
 b, truth = ds.noisy[0], ds.ground_truth
-mlem = SolverConfig(outer_iters=5, alpha=1e-3)
-fixed = SolverConfig(outer_iters=3, alpha=1e-3)
+mlem = SolverConfig(outer_iters=5)
+fixed = SolverConfig(outer_iters=3)
 for res in (cgls(A, b, 10, ground_truth=truth),
-            mlem_split_reconstruct(A, b, el(), mlem, ground_truth=truth),
-            fixed_point_reconstruct(A, b, el(), fixed, ground_truth=truth)):
+            mlem_split_reconstruct(A, b, el(1e-3), mlem, ground_truth=truth),
+            fixed_point_reconstruct(A, b, el(1e-3), fixed,
+                                    ground_truth=truth)):
     print(hashlib.sha256(res.image.values.tobytes()).hexdigest(),
           hashlib.sha256(history_csv(res).encode()).hexdigest())
 """
